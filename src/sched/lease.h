@@ -2,9 +2,9 @@
 // tenants it governs (sched/cluster.h).
 //
 // A lease holder is anything that consumes cluster devices on the shared
-// virtual clock: a `vf::serve::Server`, a `ColocatedServer` (both
-// implement this interface directly), or a training engine wrapped in an
-// `EngineTrainLease`. The controller drives every holder through the same
+// virtual clock: a `vf::serve::ColocatedServer` (or the one-model
+// `Server` front, which forwards to the ColocatedServer it owns), or a
+// training engine wrapped in an `EngineTrainLease`. The controller drives every holder through the same
 // five verbs:
 //
 //   next_event_s()  — when does the holder next need the clock?

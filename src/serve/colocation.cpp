@@ -62,26 +62,19 @@ ColocatedServer::ColocatedServer(ModelRegistry& registry, ColocationConfig confi
   }
 
   if (config_.elastic.enabled) {
-    const ElasticPolicy& e = config_.elastic;
-    check(e.min_devices >= 1, "elastic min_devices must be >= 1");
-    check(e.max_devices >= e.min_devices, "elastic max_devices < min_devices");
-    check(e.high_watermark > e.low_watermark,
-          "elastic watermarks must satisfy high > low (hysteresis)");
-    check(e.cooldown_batches >= 0, "elastic cooldown must be non-negative");
-    for (std::int32_t m = 0; m < registry_.size(); ++m) {
-      check(e.max_devices <= registry_.engine(m).mapping().total_vns(),
-            "elastic max_devices (" + std::to_string(e.max_devices) +
-                ") exceeds model " + std::to_string(m) + "'s virtual-node count (" +
-                std::to_string(registry_.engine(m).mapping().total_vns()) +
-                "); devices beyond the VN count would idle for it");
-    }
+    validate_band();
+    check(config_.elastic.cooldown_batches >= 0,
+          "elastic cooldown must be non-negative");
   }
 
   models_.reserve(static_cast<std::size_t>(registry_.size()));
   double total_share = 0.0;
   for (std::int32_t m = 0; m < registry_.size(); ++m) {
     const ModelConfig& mc = registry_.config(m);
-    models_.emplace_back(registry_.engine(m), registry_.pool(m), mc);
+    check(!mc.name.empty() || registry_.size() == 1,
+          "only a sole model may be unnamed (it exports under the bare "
+          "\"serve.\" prefix)");
+    models_.emplace_back(registry_.engine(m), registry_.pool(m), mc, m);
     total_share += mc.share;
   }
   dispatch_ready_.assign(models_.size(), 0.0);
@@ -92,16 +85,18 @@ ColocatedServer::ColocatedServer(ModelRegistry& registry, ColocationConfig confi
   share_time_.assign(models_.size(), 0.0);
   device_seconds_.assign(models_.size(), 0.0);
 
-  // Drop accounting lives at each model's backpressure point, exactly as
-  // in the single-model server. models_ never resizes after this loop, so
+  // Drop accounting lives at each model's backpressure point: the queue
+  // reports every dropped request straight to the tracker, so both replay
+  // modes share one path. models_ never resizes after this loop, so
   // indexing through `this` stays valid.
   for (std::int32_t m = 0; m < registry_.size(); ++m) {
     models_[static_cast<std::size_t>(m)].queue.set_reject_observer(
         [this, m](const InferRequest& r, double now_s) {
-          models_[static_cast<std::size_t>(m)].tracker.record_rejection(r, now_s);
+          ModelState& st = models_[static_cast<std::size_t>(m)];
+          st.tracker.record_rejection(r, now_s);
           if (obs_.trace != nullptr)
             obs_.trace->instant("reject", now_s, /*device=*/-1, /*vn=*/-1,
-                                m, /*arg0=*/r.id);
+                                st.obs_model, /*arg0=*/r.id);
         });
     if (registry_.config(m).shed_expired)
       models_[static_cast<std::size_t>(m)].queue.set_deadline(
@@ -113,14 +108,13 @@ void ColocatedServer::set_observability(obs::Observability obs) {
   check(!replayed_, "attach observability before replay()");
   obs_ = obs;
   share_gauges_.clear();
-  for (std::int32_t m = 0; m < static_cast<std::int32_t>(models_.size()); ++m) {
-    ModelState& st = models_[static_cast<std::size_t>(m)];
-    const std::string prefix = "serve." + registry_.config(m).name + ".";
-    st.dispatcher.set_observability(obs, m, prefix);
-    st.tracker.set_metrics(obs.metrics, prefix);
-    st.ledger.set_metrics(obs.metrics, prefix);
+  for (ModelState& st : models_) {
+    st.dispatcher.set_observability(obs, st.obs_model, st.metrics_prefix);
+    st.tracker.set_metrics(obs.metrics, st.metrics_prefix);
+    st.ledger.set_metrics(obs.metrics, st.metrics_prefix);
     if (obs.metrics != nullptr)
-      share_gauges_.push_back(&obs.metrics->gauge(prefix + "share_vtime"));
+      share_gauges_.push_back(
+          &obs.metrics->gauge(st.metrics_prefix + "share_vtime"));
   }
 }
 
@@ -153,15 +147,38 @@ double ColocatedServer::device_time_used(std::int32_t m) const {
   return device_seconds_[static_cast<std::size_t>(m)];
 }
 
+ColocatedServer::TraceSpans ColocatedServer::spans_of(
+    const std::vector<std::vector<InferRequest>>& traces) {
+  return TraceSpans(traces.begin(), traces.end());
+}
+
 void ColocatedServer::replay(const std::vector<std::vector<InferRequest>>& traces) {
+  replay_traces(spans_of(traces));
+}
+
+void ColocatedServer::begin(const std::vector<std::vector<InferRequest>>& traces) {
+  begin_traces(spans_of(traces));
+}
+
+void ColocatedServer::replay_traces(TraceSpans traces) {
   if (config_.continuous) {
-    begin(traces);
+    begin_traces(std::move(traces));
     pump(kInf);
-    finish();
-    traces_ = nullptr;
-    return;
+  } else {
+    open(std::move(traces));
+    replay_batch_boundary();
   }
-  check(!replayed_, "a ColocatedServer replays exactly one trace set");
+  finish();
+}
+
+void ColocatedServer::begin_traces(TraceSpans traces) {
+  check(config_.continuous,
+        "externally stepped serving requires continuous batching");
+  open(std::move(traces));
+}
+
+void ColocatedServer::open(TraceSpans traces) {
+  check(!replayed_, "a server replays exactly one trace set");
   replayed_ = true;
   check(registry_.size() == static_cast<std::int64_t>(models_.size()),
         "the registry grew after this server was built (it serves the " +
@@ -173,15 +190,29 @@ void ColocatedServer::replay(const std::vector<std::vector<InferRequest>>& trace
     for (std::size_t i = 1; i < trace.size(); ++i)
       check(trace[i - 1].arrival_s <= trace[i].arrival_s,
             "each trace must be sorted by arrival time");
-    for (const InferRequest& r : trace)
-      check(!TokenStreamer::is_stream(r),
-            "token streams require continuous batching "
-            "(ColocationConfig::continuous)");
+    if (!config_.continuous)
+      for (const InferRequest& r : trace)
+        check(!TokenStreamer::is_stream(r),
+              "token streams require continuous batching — a stream is a "
+              "slice chain through a VN slot, which batch-boundary mode has "
+              "no notion of");
   }
-  traces_ = &traces;
-  replay_batch_boundary();
-  traces_ = nullptr;
-  finish();
+  traces_ = std::move(traces);
+  device_free_.assign(static_cast<std::size_t>(shared_devices()), 0.0);
+}
+
+void ColocatedServer::validate_band() const {
+  const ElasticPolicy& e = config_.elastic;
+  check(e.min_devices >= 1, "elastic min_devices must be >= 1");
+  check(e.max_devices >= e.min_devices, "elastic max_devices < min_devices");
+  check(e.high_watermark > e.low_watermark,
+        "elastic watermarks must satisfy high > low (hysteresis)");
+  for (std::int32_t m = 0; m < registry_.size(); ++m)
+    check(e.max_devices <= registry_.engine(m).mapping().total_vns(),
+          "elastic max_devices (" + std::to_string(e.max_devices) +
+              ") exceeds model " + std::to_string(m) + "'s virtual-node count (" +
+              std::to_string(registry_.engine(m).mapping().total_vns()) +
+              "); devices beyond the VN count would idle for it");
 }
 
 void ColocatedServer::set_cluster_governed() {
@@ -191,48 +222,20 @@ void ColocatedServer::set_cluster_governed() {
         "the rolling slice-level migration path");
   // The ElasticPolicy band parameterizes the load() signal even when the
   // internal loop is off, so it must be coherent regardless of `enabled`.
-  const ElasticPolicy& e = config_.elastic;
-  check(e.min_devices >= 1, "elastic min_devices must be >= 1");
-  check(e.max_devices >= e.min_devices, "elastic max_devices < min_devices");
-  check(e.high_watermark > e.low_watermark,
-        "elastic watermarks must satisfy high > low (hysteresis)");
-  for (std::int32_t m = 0; m < registry_.size(); ++m)
-    check(e.max_devices <= registry_.engine(m).mapping().total_vns(),
-          "elastic max_devices exceeds model " + std::to_string(m) +
-              "'s virtual-node count");
+  validate_band();
   cluster_governed_ = true;
-}
-
-void ColocatedServer::begin(const std::vector<std::vector<InferRequest>>& traces) {
-  check(!replayed_, "a ColocatedServer replays exactly one trace set");
-  check(config_.continuous,
-        "externally stepped serving requires continuous batching");
-  replayed_ = true;
-  check(registry_.size() == static_cast<std::int64_t>(models_.size()),
-        "the registry grew after this server was built (it serves the " +
-            std::to_string(models_.size()) + " models registered at construction)");
-  check(traces.size() == models_.size(),
-        "one trace per registered model (got " + std::to_string(traces.size()) +
-            ", registry holds " + std::to_string(models_.size()) + ")");
-  for (const auto& trace : traces)
-    for (std::size_t i = 1; i < trace.size(); ++i)
-      check(trace[i - 1].arrival_s <= trace[i].arrival_s,
-            "each trace must be sorted by arrival time");
-  traces_ = &traces;
-  device_free_.assign(static_cast<std::size_t>(shared_devices()), 0.0);
 }
 
 void ColocatedServer::finish() {
   if (finished_) return;
   finished_ = true;
   if (obs_.metrics != nullptr) {
-    for (std::int32_t m = 0; m < static_cast<std::int32_t>(models_.size()); ++m) {
-      const ModelState& st = models_[static_cast<std::size_t>(m)];
-      const std::string prefix = "serve." + registry_.config(m).name + ".";
-      SloTracker::export_summary(st.tracker.summary(), *obs_.metrics, prefix,
-                                 clock_);
-      obs_.metrics->gauge(prefix + "device_seconds")
-          .set(device_time_used(m), clock_);
+    for (std::size_t m = 0; m < models_.size(); ++m) {
+      const ModelState& st = models_[m];
+      SloTracker::export_summary(st.tracker.summary(), *obs_.metrics,
+                                 st.metrics_prefix, clock_);
+      obs_.metrics->gauge(st.metrics_prefix + "device_seconds")
+          .set(device_seconds_[m], clock_);
     }
     obs_.metrics->gauge("serve.devices")
         .set(static_cast<double>(shared_devices()), clock_);
@@ -240,15 +243,15 @@ void ColocatedServer::finish() {
 }
 
 double ColocatedServer::next_event_s() const {
-  if (traces_ == nullptr) return kInf;
+  if (traces_.empty()) return kInf;
   return next_event_internal();
 }
 
 bool ColocatedServer::drained() const {
-  if (traces_ == nullptr) return false;
+  if (traces_.empty()) return false;
   for (std::size_t m = 0; m < models_.size(); ++m) {
     const ModelState& st = models_[m];
-    if (st.next_arrival != (*traces_)[m].size() || !st.queue.empty() ||
+    if (st.next_arrival != traces_[m].size() || !st.queue.empty() ||
         !st.ledger.all_free() || st.streamer.has_paused() ||
         !st.continuations.empty())
       return false;
@@ -257,7 +260,7 @@ bool ColocatedServer::drained() const {
 }
 
 sched::LoadSignal ColocatedServer::load() const {
-  check(traces_ != nullptr, "begin() traces before reading the load signal");
+  check(!traces_.empty(), "begin() traces before reading the load signal");
   const ElasticPolicy& e = config_.elastic;
   sched::LoadSignal s;
   // The co-located set is sized as one unit, so the signal is combined:
@@ -301,7 +304,7 @@ sched::LoadSignal ColocatedServer::load() const {
 double ColocatedServer::apply_grant(std::int64_t devices) {
   check(cluster_governed_,
         "apply_grant() requires cluster governance (set_cluster_governed)");
-  check(traces_ != nullptr, "begin() traces before granting devices");
+  check(!traces_.empty(), "begin() traces before granting devices");
   const std::int64_t cur = shared_devices();
   if (devices == cur) return 0.0;
   check(devices >= 1, "a device grant must keep at least one device");
@@ -346,7 +349,7 @@ std::int64_t ColocatedServer::classify_prefix(const ModelState& st,
 void ColocatedServer::admit_up_to_clock() {
   for (std::size_t m = 0; m < models_.size(); ++m) {
     ModelState& st = models_[m];
-    const auto& trace = (*traces_)[m];
+    const auto& trace = traces_[m];
     const bool was_idle = st.queue.empty() && st.ledger.all_free() &&
                           !st.streamer.has_paused();
     bool admitted = false;
@@ -407,13 +410,10 @@ void ColocatedServer::resize_if_needed(std::int64_t combined_inflight) {
   device_free_.assign(static_cast<std::size_t>(shared_devices()), clock_);
 }
 
-void ColocatedServer::perform_resize(std::int64_t target, std::int64_t depth) {
-  const std::int64_t cur = shared_devices();
-
-  // Rolling migration order: deepest backlog first (it is the model the
-  // resize exists for), model id breaking ties — a pure function of
-  // replay state, so the cutover sequence is part of the determinism
-  // contract.
+// Rolling migration order: deepest backlog first (it is the model the
+// resize exists for), model id breaking ties — a pure function of replay
+// state, so the cutover sequence is part of the determinism contract.
+std::vector<std::int32_t> ColocatedServer::cutover_order() const {
   std::vector<std::int32_t> order(models_.size());
   for (std::size_t m = 0; m < models_.size(); ++m)
     order[m] = static_cast<std::int32_t>(m);
@@ -423,6 +423,11 @@ void ColocatedServer::perform_resize(std::int64_t target, std::int64_t depth) {
     if (qa != qb) return qa > qb;
     return a < b;
   });
+  return order;
+}
+
+void ColocatedServer::perform_resize(std::int64_t target, std::int64_t depth) {
+  const std::int64_t cur = shared_devices();
 
   // The state all-gathers share the links, so the charges serialize; but
   // each model's NEW dispatches resume the moment ITS state has landed —
@@ -431,7 +436,7 @@ void ColocatedServer::perform_resize(std::int64_t target, std::int64_t depth) {
   // in-flight slices keep their old schedules (seamless), and a deferred
   // decode chain resumes at its model's cutover stamp.
   double migration = 0.0;
-  for (const std::int32_t m : order) {
+  for (const std::int32_t m : cutover_order()) {
     VirtualFlowEngine& eng = registry_.engine(m);
     const double before = eng.sim_time_s();
     eng.resize(make_devices(config_.elastic.device, target));
@@ -441,7 +446,8 @@ void ColocatedServer::perform_resize(std::int64_t target, std::int64_t depth) {
     // dispatch-resume stamp, in cutover (deepest-backlog-first) order.
     if (obs_.trace != nullptr)
       obs_.trace->instant("cutover", clock_ + migration, /*device=*/-1,
-                          /*vn=*/-1, m);
+                          /*vn=*/-1,
+                          models_[static_cast<std::size_t>(m)].obs_model);
   }
 
   ResizeEvent ev;
@@ -522,7 +528,7 @@ void ColocatedServer::complete_due() {
       record_slice_requests(done, st.tracker);
       ++work_since_resize_;
       BatchEvent ev = make_slice_event(done, vn, st.queue.size());
-      ev.model = m;
+      ev.model = st.obs_model;
       batches_.push_back(ev);
       finalize_span_depth();
       continue;
@@ -532,7 +538,7 @@ void ColocatedServer::complete_due() {
     const bool more = st.streamer.absorb(vn, st.ledger.slot(vn));
     ++work_since_resize_;
     BatchEvent ev = make_slice_event(st.ledger.slot(vn), vn, st.queue.size());
-    ev.model = m;
+    ev.model = st.obs_model;
     batches_.push_back(ev);
     finalize_span_depth();
     if (!more) {
@@ -550,11 +556,10 @@ void ColocatedServer::complete_due() {
       st.streamer.pause(vn);
       if (obs_.trace != nullptr)
         obs_.trace->instant("preempt", clock_,
-                            static_cast<std::int32_t>(freed.device), vn, m);
+                            static_cast<std::int32_t>(freed.device), vn,
+                            st.obs_model);
       if (obs_.metrics != nullptr)
-        obs_.metrics->counter("serve." + registry_.config(m).name +
-                              ".preemptions")
-            .add();
+        obs_.metrics->counter(st.metrics_prefix + "preemptions").add();
     } else {
       st.continuations.push_back(vn);
       st.pending_chain[static_cast<std::size_t>(vn)] = 1;
@@ -656,9 +661,9 @@ void ColocatedServer::try_resumes() {
 // Fault transition: fires every injected event due at the current stamp
 // (complete_due first — a slice finishing exactly at a kill's stamp
 // survives). A kill tears the dead device slot's in-flight slices off
-// EVERY model with the single-model Server's per-kind recovery
-// (classify/prefill requeue with honest retry stamps, decode chains park
-// and resume from their last landed token), then remaps each engine's
+// EVERY model (classify/prefill requests merge back into the queue in
+// arrival order with honest retry stamps; decode chains park and resume
+// from their last landed token), then remaps each engine's
 // VNs onto the survivors as a ROLLING migration: the fail_device
 // all-gathers serialize deepest-backlog-first (model id tie-break, like
 // perform_resize), each model's new dispatches resuming at its own
@@ -682,10 +687,19 @@ void ColocatedServer::process_faults_due() {
         }
         const std::int64_t dead = ev.device % ndev;
         rec.device = dead;
+        // An evicted request is not necessarily older than everything
+        // queued (an earlier kill in the same cutover window may have
+        // requeued older work), so each one merges back by arrival order.
+        const auto requeue_evicted = [&](ModelState& st, InferRequest r,
+                                         double dispatch_s) {
+          r.queue_wait_accum_s += dispatch_s - r.enqueued_s();
+          ++r.retries;
+          r.requeue_s = clock_;
+          st.queue.requeue(r);
+          ++rec.requeued_requests;
+        };
         std::int64_t depth = 0;
-        for (std::size_t m = 0; m < models_.size(); ++m) {
-          ModelState& st = models_[m];
-          std::vector<InferRequest> requeue;
+        for (ModelState& st : models_) {
           for (std::int32_t vn = 0; vn < st.ledger.total_slots(); ++vn) {
             const Slot& s = st.ledger.slot(vn);
             if (!s.busy || s.device != dead) continue;
@@ -695,51 +709,28 @@ void ColocatedServer::process_faults_due() {
             Slot evicted = st.ledger.evict(vn);
             ++rec.evicted_slices;
             if (evicted.kind == SliceKind::kClassify) {
-              for (InferRequest& r : evicted.requests) {
-                r.queue_wait_accum_s += evicted.dispatch_s - r.enqueued_s();
-                ++r.retries;
-                requeue.push_back(std::move(r));
-              }
+              for (InferRequest& r : evicted.requests)
+                requeue_evicted(st, std::move(r), evicted.dispatch_s);
             } else if (evicted.kind == SliceKind::kPrefill) {
-              InferRequest r = st.streamer.cancel(vn);
-              r.queue_wait_accum_s += evicted.dispatch_s - r.enqueued_s();
-              ++r.retries;
-              requeue.push_back(std::move(r));
+              // No token landed yet: abort the stream and requeue the
+              // request; its next prefill restarts the chain.
+              requeue_evicted(st, st.streamer.cancel(vn), evicted.dispatch_s);
             } else {
+              // Decode chain with landed tokens: never recompute them —
+              // park the stream; resume re-dispatches only the lost token.
               st.streamer.mark_retry(vn);
               st.streamer.pause(vn);
             }
-          }
-          rec.requeued_requests += static_cast<std::int64_t>(requeue.size());
-          std::sort(requeue.begin(), requeue.end(),
-                    [](const InferRequest& a, const InferRequest& b) {
-                      return a.id < b.id;
-                    });
-          for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
-            it->requeue_s = clock_;
-            st.queue.push_front(*it);
           }
           depth += st.queue.size();
         }
 
         // Rolling VN remap, deepest combined backlog first.
-        std::vector<std::int32_t> order(models_.size());
-        for (std::size_t m = 0; m < models_.size(); ++m)
-          order[m] = static_cast<std::int32_t>(m);
-        std::sort(order.begin(), order.end(),
-                  [&](std::int32_t a, std::int32_t b) {
-                    const std::int64_t qa =
-                        models_[static_cast<std::size_t>(a)].queue.size();
-                    const std::int64_t qb =
-                        models_[static_cast<std::size_t>(b)].queue.size();
-                    if (qa != qb) return qa > qb;
-                    return a < b;
-                  });
         double base = clock_;
         for (const double ready : dispatch_ready_)
           base = std::max(base, ready);
         double migration = 0.0;
-        for (const std::int32_t m : order) {
+        for (const std::int32_t m : cutover_order()) {
           VirtualFlowEngine& eng = registry_.engine(m);
           const double before = eng.sim_time_s();
           eng.fail_device(dead);
@@ -747,7 +738,8 @@ void ColocatedServer::process_faults_due() {
           dispatch_ready_[static_cast<std::size_t>(m)] = base + migration;
           if (obs_.trace != nullptr)
             obs_.trace->instant("cutover", base + migration, /*device=*/-1,
-                                /*vn=*/-1, m);
+                                /*vn=*/-1,
+                                models_[static_cast<std::size_t>(m)].obs_model);
         }
         rec.migration_s = migration;
         device_free_.assign(static_cast<std::size_t>(shared_devices()), clock_);
@@ -798,14 +790,14 @@ double ColocatedServer::next_event_internal() const {
     // Earliest in-flight completion, excluding slots already absorbed
     // into a deferred decode chain (pending_chain): their done_s is
     // stale — at or before the clock — and their real next event is the
-    // cutover stamp added below. Reading them through earliest_done_s()
+    // cutover stamp added below. Taking the minimum over them too
     // would pin the horizon at the clock and livelock the loop.
     for (std::int32_t vn = 0; vn < st.ledger.total_slots(); ++vn) {
       const Slot& s = st.ledger.slot(vn);
       if (s.busy && !st.pending_chain[static_cast<std::size_t>(vn)])
         next_t = std::min(next_t, s.done_s);
     }
-    const auto& trace = (*traces_)[m];
+    const auto& trace = traces_[m];
     if (st.next_arrival < trace.size())
       next_t = std::min(next_t, trace[st.next_arrival].arrival_s);
     if (!st.continuations.empty())
@@ -838,7 +830,7 @@ double ColocatedServer::next_event_internal() const {
 }
 
 void ColocatedServer::pump(double horizon_s) {
-  check(traces_ != nullptr, "begin() traces before pump()");
+  check(!traces_.empty(), "begin() traces before pump()");
   while (true) {
     admit_up_to_clock();
     complete_due();
@@ -876,7 +868,7 @@ void ColocatedServer::execute_model_batch(std::int32_t m, std::int64_t take) {
       st.dispatcher.run_formed_batch(st.queue, st.former, st.tracker, clock_, take);
   clock_ = ev.finish_s;
   ++work_since_resize_;
-  ev.model = m;
+  ev.model = st.obs_model;
   batches_.push_back(ev);
 }
 
@@ -912,10 +904,12 @@ void ColocatedServer::replay_batch_boundary() {
     if (best >= 0) {
       execute_model_batch(best, best_take);
       // Admit the service window's arrivals before recording depth and
-      // deciding elasticity, exactly like the single-model server.
+      // deciding elasticity, so a burst's pressure registers in the batch
+      // it builds up in, not one batch later.
       admit_up_to_clock();
       batches_.back().queue_depth_after =
           models_[static_cast<std::size_t>(best)].queue.size();
+      finalize_span_depth();
       resize_if_needed(/*combined_inflight=*/0);
       continue;
     }
@@ -934,7 +928,7 @@ void ColocatedServer::replay_batch_boundary() {
                            dispatch_ready_[m]);
         next_t = std::min(next_t, formable);
       }
-      const auto& trace = (*traces_)[m];
+      const auto& trace = traces_[m];
       if (st.next_arrival < trace.size())
         next_t = std::min(next_t, trace[st.next_arrival].arrival_s);
     }

@@ -43,20 +43,17 @@
 // arrivals admitted in model-id order at equal stamps. Every decision is
 // a pure function of (traces, policies, cost model) on the virtual clock
 // — the full per-model record streams replay bit-identically across host
-// worker counts, in both batching modes, exactly like the single-model
-// Server. Token streams (serve/streaming.h) ride the continuous mode:
-// per-model prefill/decode chains compete through the same arbiter, and
-// every dispatch — prefill, decode, resume, classify — is charged to its
-// model's share ledger.
+// worker counts, in both batching modes. Token streams (serve/streaming.h)
+// ride the continuous mode: per-model prefill/decode chains compete
+// through the same arbiter, and every dispatch — prefill, decode, resume,
+// classify — is charged to its model's share ledger.
 //
 // Elasticity is a SHARED budget: grow/shrink decisions come from the
 // combined backlog (sum of queue depths) plus combined in-flight load via
-// the same hysteresis rule the single-model server uses
-// (sched::elastic_resize_target), and a resize moves every engine to the
-// same device count — the engines stay in lockstep on the shared device
-// set. In-flight slices keep the completion times their dispatch-time
-// mapping scheduled (the resize is seamless, like the single-model
-// server's).
+// the shared hysteresis rule (sched::elastic_resize_target), and a resize
+// moves every engine to the same device count — the engines stay in
+// lockstep on the shared device set. In-flight slices keep the completion
+// times their dispatch-time mapping scheduled (the resize is seamless).
 //
 // Migration is ROLLING: the models' state all-gathers ride the same
 // shared links, so they serialize — most-loaded model first (combined
@@ -64,33 +61,79 @@
 // resume the moment its own state has landed, instead of every model
 // stalling for the sum. The urgent model therefore pays exactly the
 // migration price a dedicated server would have charged it, and the
-// quiet models absorb the queueing. (The single-model Server jumps its
-// clock by the whole migration; with one model the two policies
-// coincide.) A resize is also atomic: no new resize decision fires until
-// the last model has cut over. A mid-stream decode chain stalls during
-// its model's cutover window and resumes at the cutover stamp.
+// quiet models absorb the queueing. Only new dispatches wait for a
+// cutover: in-flight completions, admissions, token stamps and fault
+// events all land at their own stamps. A resize is also atomic: no new
+// resize decision fires until the last model has cut over. A mid-stream
+// decode chain stalls during its model's cutover window and resumes at
+// the cutover stamp.
+//
+// The single-model Server (serve/server.h) is a front over this loop: it
+// registers its one engine under an empty model name, which keeps its
+// metrics under the bare "serve." prefix and its spans at model -1.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "data/dataset.h"
+#include "device/spec.h"
+#include "fault/fault.h"
 #include "sched/lease.h"
 #include "serve/batch_former.h"
 #include "serve/dispatch.h"
 #include "serve/request_queue.h"
-#include "serve/server.h"
 #include "serve/slo_tracker.h"
 #include "serve/slot_ledger.h"
 #include "serve/streaming.h"
 
 namespace vf::serve {
 
+/// Load-triggered elasticity with hysteresis: grow (double the device
+/// count) when the backlog reaches `high_watermark`, shrink (halve) when
+/// it falls to `low_watermark`, never within `cooldown_batches` units of
+/// work (formed batches, or completed slices in continuous mode) of the
+/// previous resize. high > low keeps the loop from oscillating on a
+/// steady queue.
+struct ElasticPolicy {
+  bool enabled = true;
+  std::int64_t high_watermark = 64;
+  std::int64_t low_watermark = 4;
+  std::int64_t min_devices = 1;
+  std::int64_t max_devices = 8;  ///< must not exceed the mapping's VN count
+  DeviceType device = DeviceType::kV100;
+  std::int64_t cooldown_batches = 4;
+};
+
+/// One elastic reconfiguration (or kill remap) taken during a replay.
+struct ResizeEvent {
+  double time_s = 0.0;  ///< virtual time the last model cut over
+  std::int64_t from_devices = 0;
+  std::int64_t to_devices = 0;
+  std::int64_t queue_depth = 0;   ///< depth that triggered the decision
+  double migration_s = 0.0;       ///< seamless all-gather cost charged
+};
+
+/// One injected fault the replay acted on (or explicitly skipped).
+struct FaultRecord {
+  double time_s = 0.0;          ///< the fault's planned virtual stamp
+  fault::FaultKind kind = fault::FaultKind::kKill;
+  std::int64_t device = -1;     ///< resolved device slot (kills/stragglers)
+  bool skipped = false;         ///< kill skipped: the set was at one device
+  std::int64_t evicted_slices = 0;    ///< in-flight slices torn off the device
+  std::int64_t requeued_requests = 0; ///< classify/prefill requests requeued
+  double migration_s = 0.0;     ///< VN-remap all-gather charged by the kill
+};
+
 /// Per-model serving configuration within a co-located deployment.
 struct ModelConfig {
-  std::string name = "model";     ///< label for tables and diagnostics
+  /// Label for tables, diagnostics and metric names ("serve.<name>.").
+  /// Only a sole registered model may be unnamed: it exports under the
+  /// bare "serve." prefix and stamps model -1 on its spans and work units.
+  std::string name = "model";
   std::int64_t queue_capacity = 1024;
   BatchPolicy batch;              ///< size-or-timeout policy for this model
   double deadline_s = 0.5;        ///< per-request SLO; base of the arbiter key
@@ -100,8 +143,11 @@ struct ModelConfig {
   /// share / Σ shares of the total, regardless of how its slice costs
   /// compare to its co-tenants'. Must be positive.
   double share = 1.0;
-  /// Deadline-aware load shedding at admission for this model (see
-  /// ServerConfig::shed_expired). Off by default.
+  /// Deadline-aware load shedding at admission: requests already past the
+  /// SLO when the loop gets to them are bounced instead of queued to a
+  /// guaranteed miss. Only batch-boundary mode admits late (arrivals
+  /// during a batch wait for its barrier); the continuous loop admits
+  /// every arrival at its own stamp. Off by default.
   bool shed_expired = false;
 };
 
@@ -145,10 +191,8 @@ struct ColocationConfig {
   StreamPolicy stream;
 };
 
-/// Serves the registered models (typically 2+; a single model is a legal
-/// degenerate case equivalent to a continuous-mode Server) on one shared
-/// device set. One replay per server, same one-shot contract as the
-/// single-model Server.
+/// Serves the registered models on one shared device set; with one model
+/// it is the single-model Server's loop. One replay per server.
 class ColocatedServer : public sched::DeviceLease {
  public:
   /// All engines must start on identical device counts (they stay in
@@ -169,13 +213,16 @@ class ColocatedServer : public sched::DeviceLease {
   /// schedule.
   void set_observability(obs::Observability obs);
 
-  /// Attaches a fault injector (src/fault/) shared across the co-located
-  /// set: a kill evicts the dead device slot's in-flight slices of EVERY
-  /// model and remaps each engine's VNs onto the survivors as a rolling
-  /// migration (deepest-backlog model first, like perform_resize); see
-  /// Server::set_fault_injector for the per-slice recovery semantics.
-  /// Must be called before replay(); requires continuous mode; the
-  /// injector must outlive the replay.
+  /// Attaches a fault injector (src/fault/) whose events the continuous
+  /// loop processes at their planned stamps. A kill evicts the dead device
+  /// slot's in-flight slices of EVERY model (classify/prefill requests
+  /// merge back into their queue in arrival order; decode chains park and
+  /// resume from their last landed token), remaps each engine's VNs onto
+  /// the survivors as a rolling migration (deepest-backlog model first,
+  /// like perform_resize), and caps the elastic budget until a recover;
+  /// stragglers re-apply cost-model slowdowns; comm faults retry the next
+  /// slice's logits return. Must be called before replay(); requires
+  /// continuous mode; the injector must outlive the replay.
   void set_fault_injector(fault::FaultInjector* injector);
 
   /// Replays one open-loop arrival trace per model (indexed by model id,
@@ -187,27 +234,31 @@ class ColocatedServer : public sched::DeviceLease {
   //
   // A co-located deployment is ONE lease: the ClusterController sizes the
   // shared device set as a unit and the internal arbiter keeps splitting
-  // it between the co-tenants. See Server for the per-method contracts;
-  // the differences here are the combined load signal (sum of queues and
-  // in-flight, worst relative deadline pressure picks the reported SLO)
-  // and the rolling-migration grant (apply_grant returns the total
-  // serialized migration charge; each model cuts over at its own stamp).
+  // it between the co-tenants. The load signal is combined (sum of queues
+  // and in-flight; the worst relative deadline pressure picks the
+  // reported SLO), and a grant is a rolling migration.
 
   /// Switches to cluster governance (before begin()): disables the shared
-  /// internal elastic loop and enables apply_grant(). Requires continuous
-  /// mode; validates the ElasticPolicy band regardless of `enabled`.
+  /// internal elastic loop and enables apply_grant(); the ElasticPolicy
+  /// band becomes the load() signal's advisory band. Requires continuous
+  /// mode; validates the band regardless of `enabled`.
   void set_cluster_governed();
 
   /// Opens the per-model traces for externally-pumped stepping
   /// (continuous mode only; validation matches replay(); one begin per
-  /// server). The traces must outlive the stepping run.
+  /// server). The traces are not copied and must outlive the run.
   void begin(const std::vector<std::vector<InferRequest>>& traces);
 
+  /// Processes every internal event due at or before `horizon_s` (slice
+  /// completions, arrivals, faults, timeouts, cutovers) and, when work
+  /// remains, advances the clock to `horizon_s` so a grant applied next is
+  /// stamped at controller time. `horizon_s = +inf` runs to the drain.
   void pump(double horizon_s) override;
   double next_event_s() const override;
   sched::LoadSignal load() const override;
   /// Resizes the shared set to `devices` through perform_resize (rolling
-  /// migration). Returns the total serialized migration seconds.
+  /// migration, ResizeEvent record, obs markers). Returns the total
+  /// serialized migration seconds.
   double apply_grant(std::int64_t devices) override;
   bool drained() const override;
 
@@ -236,17 +287,33 @@ class ColocatedServer : public sched::DeviceLease {
   double device_time_used(std::int32_t m) const;
 
  private:
+  friend class Server;  // opens its one trace without copying it
+
+  /// One read-only view per model of the traces being replayed.
+  using TraceSpans = std::vector<std::span<const InferRequest>>;
+  static TraceSpans spans_of(const std::vector<std::vector<InferRequest>>& traces);
+  void replay_traces(TraceSpans traces);
+  void begin_traces(TraceSpans traces);
+  /// One-shot trace validation shared by both modes.
+  void open(TraceSpans traces);
+
   /// Mutable per-model serving state (config lives in the registry).
   struct ModelState {
     ModelState(VirtualFlowEngine& engine, const Dataset& pool,
-               const ModelConfig& mc)
-        : queue(mc.queue_capacity),
+               const ModelConfig& mc, std::int32_t m)
+        : metrics_prefix(mc.name.empty() ? "serve." : "serve." + mc.name + "."),
+          obs_model(mc.name.empty() ? -1 : m),
+          queue(mc.queue_capacity),
           former(mc.batch),
           tracker(mc.deadline_s),
           ledger(engine.mapping().total_vns()),
           dispatcher(engine, pool),
           streamer(engine.mapping().total_vns(), pool.size()),
           pending_chain(static_cast<std::size_t>(engine.mapping().total_vns()), 0) {}
+    /// "serve.<name>." (or "serve." for an unnamed sole model).
+    std::string metrics_prefix;
+    /// Model id stamped on spans, markers and work units (-1 if unnamed).
+    std::int32_t obs_model;
     RequestQueue queue;
     BatchFormer former;
     SloTracker tracker;
@@ -287,8 +354,12 @@ class ColocatedServer : public sched::DeviceLease {
   /// to `cap`, stopping at the first stream (FIFO order never lets a
   /// classify slice jump over a queued stream).
   std::int64_t classify_prefix(const ModelState& st, std::int64_t cap) const;
+  /// Checks the ElasticPolicy band against every model's VN count.
+  void validate_band() const;
   /// Combined resize decision + lockstep execution (both modes).
   void resize_if_needed(std::int64_t combined_inflight);
+  /// Rolling-migration order: deepest backlog first, model id tie-break.
+  std::vector<std::int32_t> cutover_order() const;
   /// Executes a decided resize as a rolling migration: engines cut over
   /// to `target` devices serially (deepest combined backlog first, model
   /// id tie-break); model m's dispatches resume at dispatch_ready_[m].
@@ -308,8 +379,8 @@ class ColocatedServer : public sched::DeviceLease {
   ModelRegistry& registry_;
   ColocationConfig config_;
   std::vector<ModelState> models_;
-  /// The traces being replayed; set for the duration of replay() only.
-  const std::vector<std::vector<InferRequest>>* traces_ = nullptr;
+  /// The traces being replayed (empty until begin()/replay()).
+  TraceSpans traces_;
 
   double clock_ = 0.0;
   /// Per-device busy horizon on the shared set; devices serialize slices

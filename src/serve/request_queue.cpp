@@ -1,5 +1,7 @@
 #include "serve/request_queue.h"
 
+#include <algorithm>
+
 #include "util/common.h"
 
 namespace vf::serve {
@@ -44,6 +46,18 @@ void RequestQueue::push_front(const InferRequest& r) {
   check(q_.empty() || r.arrival_s <= q_.front().arrival_s,
         "requeued request must not be younger than the queue head");
   q_.push_front(r);
+  ++requeued_;
+}
+
+void RequestQueue::requeue(const InferRequest& r) {
+  const auto at = std::upper_bound(
+      q_.begin(), q_.end(), r.id,
+      [](std::int64_t id, const InferRequest& queued) { return id < queued.id; });
+  if (at == q_.begin()) {
+    push_front(r);
+    return;
+  }
+  q_.insert(at, r);
   ++requeued_;
 }
 

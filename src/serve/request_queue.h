@@ -26,7 +26,7 @@ class RequestQueue {
 
   /// Called with each request the queue drops at admission (capacity or
   /// deadline shed), before push() returns false, along with the virtual
-  /// stamp of the drop. The Server wires this to
+  /// stamp of the drop. The serving loop wires this to
   /// SloTracker::record_rejection so drop accounting lives at the
   /// backpressure point itself — every replay path (batch-boundary or
   /// continuous) gets the dropped request's id recorded without
@@ -47,12 +47,18 @@ class RequestQueue {
   /// configured and already blown, then applies the capacity check.
   bool push(const InferRequest& r, double now_s);
 
-  /// Returns a fault-evicted request to the *head* of the queue. Requeues
-  /// bypass capacity (zero-loss invariant: an admitted request is never
-  /// dropped by recovery) and never re-count as admissions. In-flight
-  /// requests are always older than anything still queued (dispatch takes
-  /// a FIFO prefix), so head insertion keeps the queue arrival-ordered.
+  /// Returns a fault-evicted request to the *head* of the queue; it must
+  /// not be younger than the current head. Requeues bypass capacity
+  /// (zero-loss invariant: an admitted request is never dropped by
+  /// recovery) and never re-count as admissions.
   void push_front(const InferRequest& r);
+
+  /// Returns a fault-evicted request to its arrival (id) position, so the
+  /// queue stays arrival-ordered whatever was requeued before it: an
+  /// earlier kill in the same cutover window can leave older requests at
+  /// the head while younger ones are still in flight. Same capacity and
+  /// accounting rules as push_front (which it uses at the head).
+  void requeue(const InferRequest& r);
 
   /// Removes and returns the oldest `n` requests (n <= size()).
   std::vector<InferRequest> pop(std::int64_t n);
@@ -69,7 +75,7 @@ class RequestQueue {
   std::int64_t rejected() const { return rejected_; }
   /// Rejections that were deadline sheds (subset of rejected()).
   std::int64_t shed() const { return shed_; }
-  /// Fault requeues accepted through push_front.
+  /// Fault requeues accepted through push_front or requeue.
   std::int64_t requeued() const { return requeued_; }
 
  private:

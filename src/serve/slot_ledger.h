@@ -34,13 +34,11 @@ struct SliceSchedule {
   bool warm = false;       ///< amortized dispatch (device was mid-pass)
 };
 
-/// The warm/cold dispatch pricing rule shared by the single-model Server
-/// and the multi-model ColocatedServer (one definition so the two price
-/// models can never silently diverge): a slice landing on a device that
-/// is still mid-pass (`device_free_s > now_s`) pipelines behind it — the
-/// per-dispatch framework overhead hides under the running pass and only
-/// the forward time is charged; a cold dispatch (idle device) pays the
-/// full overhead. Pure function of virtual-clock state.
+/// The warm/cold dispatch pricing rule of the serving loop: a slice
+/// landing on a device that is still mid-pass (`device_free_s > now_s`)
+/// pipelines behind it — the per-dispatch framework overhead hides under
+/// the running pass and only the forward time is charged; a cold dispatch
+/// (idle device) pays the full overhead. Pure function of virtual-clock state.
 inline SliceSchedule price_slice_dispatch(double now_s, double device_free_s,
                                           const SliceCost& cost) {
   SliceSchedule s;
@@ -92,9 +90,6 @@ class SlotLedger {
   /// Lowest-id free slot, or -1 when every slot is in flight. Claiming
   /// the lowest VN id first is part of the determinism contract.
   std::int32_t lowest_free() const;
-
-  /// Earliest scheduled completion over busy slots; +infinity when idle.
-  double earliest_done_s() const;
 
   /// Admit transition: occupy slot `vn` with a slice dispatched at
   /// `slot.dispatch_s` and completing at `slot.done_s`. The slot must be

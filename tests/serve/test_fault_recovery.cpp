@@ -7,6 +7,7 @@
 // parked stream, kill at minimum device-set size).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -114,8 +115,11 @@ TEST(FaultRecovery, RetryStampsKeepQueueWaitHonest) {
   VirtualFlowEngine engine = make_engine(rig, /*devices=*/4, /*workers=*/0);
   Server server(engine, *rig.task.val, fault_config());
 
+  // 0.65 s: after the burst's elastic grow has cut over, so the kill
+  // catches slices dispatched onto the grown set (inside the cutover
+  // window nothing new has been dispatched yet).
   fault::FaultPlan plan;
-  plan.kill(0.6, 0);
+  plan.kill(0.65, 0);
   fault::FaultInjector injector(std::move(plan));
   server.set_fault_injector(&injector);
   const auto trace = burst_trace(*rig.task.val);
@@ -242,28 +246,39 @@ TEST(FaultRecovery, CapacityCapHoldsTheSetDownUntilRecovery) {
 }
 
 TEST(FaultRecovery, ExpiredRequestsShedAtAdmissionWhenOptedIn) {
-  Rig rig = make_rig();
-  VirtualFlowEngine engine = make_engine(rig, /*devices=*/2, /*workers=*/0);
-  ServerConfig cfg = fault_config();
-  cfg.shed_expired = true;
-  cfg.deadline_s = 0.05;  // tight SLO + kill-induced backlog => sheds
-  Server server(engine, *rig.task.val, cfg);
+  // Shedding bounces requests already past the SLO when the loop admits
+  // them. Batch-boundary mode admits a batch's service-window arrivals at
+  // the barrier, so under a tight SLO some have expired by then. The
+  // continuous loop admits every arrival at its own stamp, even inside a
+  // kill's migration window, so it never sheds.
+  const auto run = [](bool continuous) {
+    Rig rig = make_rig();
+    VirtualFlowEngine engine = make_engine(rig, /*devices=*/2, /*workers=*/0);
+    ServerConfig cfg = fault_config();
+    cfg.continuous = continuous;
+    cfg.shed_expired = true;
+    cfg.deadline_s = 0.05;
+    Server server(engine, *rig.task.val, cfg);
+    fault::FaultPlan plan;
+    plan.kill(0.5, 0);
+    fault::FaultInjector injector(std::move(plan));
+    if (continuous) server.set_fault_injector(&injector);
+    const auto trace = burst_trace(*rig.task.val);
+    server.replay(trace);
 
-  fault::FaultPlan plan;
-  plan.kill(0.5, 0);
-  fault::FaultInjector injector(std::move(plan));
-  server.set_fault_injector(&injector);
-  const auto trace = burst_trace(*rig.task.val);
-  server.replay(trace);
-
-  expect_zero_loss(server.slo(), trace.size());
-  EXPECT_GT(server.queue().shed(), 0);
-  EXPECT_LE(server.queue().shed(), server.queue().rejected())
-      << "sheds are a subset of rejections";
-  // A shed request's record carries no queue wait credit: it was bounced
-  // at admission, stamped at the bounce.
-  for (const RequestRecord& r : server.slo().records())
-    if (r.rejected) EXPECT_DOUBLE_EQ(r.finish_s, r.dispatch_s) << r.id;
+    expect_zero_loss(server.slo(), trace.size());
+    EXPECT_LE(server.queue().shed(), server.queue().rejected())
+        << "sheds are a subset of rejections";
+    // A shed request's record carries no queue wait credit: it was
+    // bounced at admission, stamped at the bounce.
+    for (const RequestRecord& r : server.slo().records()) {
+      if (!r.rejected) continue;
+      EXPECT_DOUBLE_EQ(r.finish_s, r.dispatch_s) << r.id;
+    }
+    return server.queue().shed();
+  };
+  EXPECT_GT(run(/*continuous=*/false), 0);
+  EXPECT_EQ(run(/*continuous=*/true), 0);
 }
 
 TEST(FaultRecovery, FaultedReplayBitIdenticalAcrossWorkerCounts) {
@@ -311,6 +326,102 @@ TEST(FaultRecovery, FaultedReplayBitIdenticalAcrossWorkerCounts) {
           << i;
     }
   }
+}
+
+/// Every streamed record carries exactly the tokens its request asked for.
+void expect_complete_streams(const SloTracker& slo,
+                             const std::vector<InferRequest>& trace) {
+  std::vector<std::int64_t> requested(trace.size(), 0);
+  for (const InferRequest& r : trace)
+    requested[static_cast<std::size_t>(r.id)] = r.stream_tokens;
+  for (const RequestRecord& r : slo.records()) {
+    if (r.rejected) continue;
+    EXPECT_EQ(static_cast<std::int64_t>(r.tokens.size()),
+              requested[static_cast<std::size_t>(r.id)])
+        << r.id;
+  }
+}
+
+/// Mixed classify + stream burst on two V100s with 16 VNs (disaggregated
+/// fault_config), with `plan` injected when given. Checks zero loss and
+/// complete streams; returns the resize and fault streams.
+std::pair<std::vector<ResizeEvent>, std::vector<FaultRecord>> mixed_burst_replay(
+    const fault::FaultPlan* plan) {
+  Rig rig = make_rig();
+  VirtualFlowEngine engine =
+      make_engine(rig, /*devices=*/2, /*workers=*/0, /*vns=*/16);
+  ServerConfig cfg = fault_config();
+  cfg.stream.disaggregate = true;
+  Server server(engine, *rig.task.val, cfg);
+  std::unique_ptr<fault::FaultInjector> injector;
+  if (plan != nullptr) {
+    injector = std::make_unique<fault::FaultInjector>(*plan);
+    server.set_fault_injector(injector.get());
+  }
+  StreamShape shape;
+  shape.stream_fraction = 0.3;
+  const auto trace = streaming_trace(
+      kSeed, {{300.0, 0.4}, {3000.0, 1.0}, {150.0, 1.6}}, rig.task.val->size(),
+      shape);
+  server.replay(trace);
+  expect_zero_loss(server.slo(), trace.size());
+  expect_complete_streams(server.slo(), trace);
+  return {server.resizes(), server.faults()};
+}
+
+/// The fault-free mixed burst's first elastic grow (2 -> 4 devices).
+ResizeEvent first_grow_window() {
+  const std::vector<ResizeEvent> resizes = mixed_burst_replay(nullptr).first;
+  if (resizes.empty()) {
+    ADD_FAILURE() << "the mixed burst never resizes";
+    return {};
+  }
+  EXPECT_EQ(resizes.front().from_devices, 2);
+  EXPECT_EQ(resizes.front().to_devices, 4);
+  return resizes.front();
+}
+
+TEST(FaultRecovery, KillInsideMigrationWindowLandsAtItsStamp) {
+  // A kill planted in the middle of an elastic resize's migration window.
+  // The migration delays only new dispatches, so the kill is processed at
+  // its own planned stamp, and its VN remap cuts over after the pending
+  // resize cutover.
+  const ResizeEvent window = first_grow_window();
+  ASSERT_GT(window.migration_s, 0.0);
+  const double stamp = window.time_s - 0.5 * window.migration_s;
+
+  fault::FaultPlan plan;
+  plan.kill(stamp, 0);
+  const auto [resizes, faults] = mixed_burst_replay(&plan);
+  ASSERT_EQ(faults.size(), 1u);
+  EXPECT_FALSE(faults[0].skipped);
+  EXPECT_EQ(faults[0].time_s, stamp)
+      << "a kill inside a migration window is handled at its planned stamp";
+  EXPECT_GT(faults[0].migration_s, 0.0);
+  bool stacked = false;
+  for (const ResizeEvent& e : resizes)
+    if (e.to_devices == e.from_devices - 1 &&
+        e.time_s == window.time_s + faults[0].migration_s)
+      stacked = true;
+  EXPECT_TRUE(stacked) << "the kill's remap cuts over after the pending resize";
+}
+
+TEST(FaultRecovery, TwoKillsInOneMigrationWindowRequeueInArrivalOrder) {
+  // Both kills land inside one migration window, so nothing re-dispatches
+  // between them: the first kill's requeues sit at the queue head while
+  // younger requests are still in flight on the second victim. Evictions
+  // merge into the queue by arrival (id) order.
+  const ResizeEvent window = first_grow_window();
+  ASSERT_GT(window.migration_s, 0.04);
+  const double t = window.time_s - 0.75 * window.migration_s;
+
+  fault::FaultPlan plan;
+  plan.kill(t, 0).kill(t + 0.01, 1);
+  const auto [resizes, faults] = mixed_burst_replay(&plan);
+  ASSERT_EQ(faults.size(), 2u);
+  for (const FaultRecord& f : faults) EXPECT_FALSE(f.skipped);
+  for (const FaultRecord& f : faults)
+    EXPECT_GT(f.requeued_requests, 0) << "both kills must requeue in-flight work";
 }
 
 TEST(FaultRecovery, InjectorRequiresContinuousModeAndPreReplayAttach) {
@@ -392,6 +503,43 @@ TEST(FaultRecovery, ColocatedKillDuringRollingMigrationKeepsEveryRequest) {
   for (const ResizeEvent& e : server.resizes())
     if (e.to_devices == e.from_devices - 1) kill_resize = true;
   EXPECT_TRUE(kill_resize);
+}
+
+TEST(FaultRecovery, ColocatedTwoKillsInOneCutoverWindowKeepEveryRequest) {
+  Rig rig_a = make_rig("mrpc-sim");
+  Rig rig_b = make_rig("cola-sim");
+  VirtualFlowEngine eng_a = make_engine(rig_a, /*devices=*/4, /*workers=*/0);
+  VirtualFlowEngine eng_b = make_engine(rig_b, /*devices=*/4, /*workers=*/0);
+  ModelRegistry registry;
+  registry.add(eng_a, *rig_a.task.val, model_config("mrpc"));
+  registry.add(eng_b, *rig_b.task.val, model_config("cola"));
+  ColocatedServer server(registry, colo_config());
+
+  fault::FaultPlan plan;
+  plan.kill(0.74, 0).kill(0.75, 1);
+  fault::FaultInjector injector(std::move(plan));
+  server.set_fault_injector(&injector);
+
+  StreamShape shape;
+  shape.stream_fraction = 0.5;
+  const std::vector<std::vector<InferRequest>> traces = {
+      streaming_trace(kSeed, {{300.0, 0.4}, {3000.0, 1.0}, {150.0, 1.6}},
+                      rig_a.task.val->size(), shape),
+      streaming_trace(kSeed + 1, {{300.0, 0.4}, {3000.0, 1.0}, {150.0, 1.6}},
+                      rig_b.task.val->size(), shape)};
+  server.replay(traces);
+
+  for (std::int32_t m = 0; m < 2; ++m) {
+    expect_zero_loss(server.slo(m), traces[static_cast<std::size_t>(m)].size());
+    expect_complete_streams(server.slo(m), traces[static_cast<std::size_t>(m)]);
+  }
+  ASSERT_EQ(server.faults().size(), 2u);
+  for (const FaultRecord& f : server.faults()) {
+    EXPECT_FALSE(f.skipped);
+    EXPECT_GT(f.evicted_slices, 0) << "both kills must hit in-flight work";
+  }
+  EXPECT_GT(server.faults()[0].migration_s, 0.01)
+      << "the second kill must land inside the first kill's cutover window";
 }
 
 TEST(FaultRecovery, ColocatedFaultedReplayBitIdenticalAcrossWorkerCounts) {

@@ -123,6 +123,24 @@ TEST(RequestQueue, PushFrontRequeuesAtHeadBypassingCapacity) {
   EXPECT_THROW(q.push_front(req(9, 9.0)), VfError);
 }
 
+TEST(RequestQueue, RequeueMergesByArrivalOrder) {
+  // A first kill already returned request 3 to the head; a second kill now
+  // evicts 4 and 8, which are younger than the head. Each lands at its
+  // arrival position instead of tripping the head-order check.
+  RequestQueue q(2);
+  EXPECT_TRUE(q.push(req(5, 1.0)));
+  EXPECT_TRUE(q.push(req(6, 2.0)));
+  q.requeue(req(3, 0.5));
+  q.requeue(req(8, 3.0));
+  q.requeue(req(4, 0.8));
+  q.requeue(req(1, 0.1));
+  ASSERT_EQ(q.size(), 6);
+  const std::int64_t order[] = {1, 3, 4, 5, 6, 8};
+  for (std::int64_t i = 0; i < 6; ++i) EXPECT_EQ(q.at(i).id, order[i]) << i;
+  EXPECT_EQ(q.requeued(), 4);
+  EXPECT_EQ(q.admitted(), 2) << "a requeue is not a second admission";
+}
+
 TEST(RequestQueue, RejectsOutOfOrderAdmission) {
   RequestQueue q(4);
   EXPECT_TRUE(q.push(req(0, 1.0)));
