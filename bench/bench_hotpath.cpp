@@ -13,11 +13,15 @@
 //      --min-simd-speedup (default 1.5x, smoke 1.2x) whenever the
 //      vector ISA is live; hosts without AVX2 skip the gate and report
 //      the fallback tier honestly.
-//   2. End-to-end step time: the same training job run three times —
+//   2. End-to-end step time: the same training job in four arms —
 //      "reference" arm: reference kernels + allocate-per-use workspaces
 //      (VF_WORKSPACE_REUSE=0 semantics), i.e. the pre-optimization hot
-//      path; "blocked" and "simd" arms: that tier + buffer reuse. All
-//      arms must produce bit-identical parameters and losses, the
+//      path; "blocked" and "simd" arms: that tier + buffer reuse; and the
+//      blocked arm with recording on. Each arm runs kRepeats times,
+//      interleaved round-robin (the starting arm rotates each round), and
+//      every timing gate compares medians: one run per arm cannot
+//      resolve a 20% change on a host whose speed drifts between runs.
+//      All runs must produce bit-identical parameters and losses, the
 //      optimized arms' timed steps must perform ZERO tensor heap
 //      allocations, and blocked-over-reference must clear --min-speedup
 //      (default 1.5x full, 1.15x smoke). simd-over-reference is reported
@@ -27,6 +31,7 @@
 // Exit 1 when any claim fails (speedups are informational under
 // overridden workload knobs, like bench_serving's custom-load rule).
 // --json=<path> emits the machine-readable perf trajectory records.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -77,6 +82,9 @@ double time_kernel(const KernelCase& c, KernelMode mode, const Tensor& a,
   return (now_s() - t0) / static_cast<double>(reps);
 }
 
+/// Runs of each end-to-end arm; the timing gates use their median.
+constexpr int kRepeats = 5;
+
 struct ArmResult {
   double step_s = 0.0;          // mean timed step wall-clock
   std::vector<double> losses;   // per-step loss trajectory
@@ -106,6 +114,39 @@ ArmResult run_arm(const std::string& task, const std::string& profile,
   out.params = setup.engine.parameters();
   return out;
 }
+
+/// One arm over kRepeats runs: the first run's result (trajectory and
+/// parameters; every run must match it), the step times of all runs, and
+/// the largest allocation counts any run saw.
+struct ArmRuns {
+  ArmResult first;
+  std::vector<double> step_s;
+  std::int64_t max_tensor_allocs = 0;
+  std::int64_t max_ws_allocs = 0;
+  bool repeatable = true;
+
+  void add(ArmResult r) {
+    max_tensor_allocs = std::max(max_tensor_allocs, r.tensor_allocs);
+    max_ws_allocs = std::max(max_ws_allocs, r.ws_allocs);
+    step_s.push_back(r.step_s);
+    if (step_s.size() == 1) {
+      first = std::move(r);
+    } else {
+      repeatable &= first.params.equals(r.params) && first.losses == r.losses;
+    }
+  }
+  double median() const {
+    std::vector<double> v = step_s;
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  }
+  double min() const { return *std::min_element(step_s.begin(), step_s.end()); }
+  /// (max - min) / median.
+  double spread() const {
+    return (*std::max_element(step_s.begin(), step_s.end()) - min()) / median();
+  }
+};
 
 }  // namespace
 
@@ -261,69 +302,88 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- 2. End-to-end train-step A/B.
+  // ---- 2. End-to-end train-step A/B, plus 3. the observability A/B on
+  // the same blocked hot path: with a TraceRecorder + MetricsRegistry
+  // attached, the step loop must stay at zero tensor heap allocations
+  // (recording touches no tensors), the trajectory must not move a bit,
+  // and the step time must stay within the stated budget of the
+  // unobserved arm.
   std::printf("\n  end-to-end train step (%s on %s, %lld VNs on %lld device(s), "
-              "%lld warmup + %lld timed):\n",
+              "%lld warmup + %lld timed, %d interleaved runs per arm):\n",
               task.c_str(), profile.c_str(), static_cast<long long>(vns),
               static_cast<long long>(devices), static_cast<long long>(warmup),
-              static_cast<long long>(steps));
-  const ArmResult ref = run_arm(task, profile, vns, devices, seed, warmup, steps,
-                                KernelMode::kReference, /*reuse=*/false);
-  const ArmResult blk = run_arm(task, profile, vns, devices, seed, warmup, steps,
-                                KernelMode::kBlocked, /*reuse=*/true);
-  const ArmResult simd = run_arm(task, profile, vns, devices, seed, warmup, steps,
-                                 KernelMode::kSimd, /*reuse=*/true);
-  // ---- 3. Observability A/B on the same blocked hot path: with a
-  // TraceRecorder + MetricsRegistry attached, the step loop must stay at
-  // zero tensor heap allocations (recording touches no tensors), the
-  // trajectory must not move a bit, and the step time must stay within
-  // the stated budget of the unobserved arm.
-  obs::TraceRecorder obs_trace;
-  obs::MetricsRegistry obs_metrics;
-  const ArmResult obs_on =
-      run_arm(task, profile, vns, devices, seed, warmup, steps,
-              KernelMode::kBlocked, /*reuse=*/true, {&obs_trace, &obs_metrics});
+              static_cast<long long>(steps), kRepeats);
+  enum Arm { kRef, kBlk, kSimdArm, kObs, kArms };
+  ArmRuns arms[kArms];
+  std::size_t obs_events = 0;
+  for (int r = 0; r < kRepeats; ++r) {
+    for (int i = 0; i < kArms; ++i) {
+      const int arm = (r + i) % kArms;
+      switch (arm) {
+        case kRef:
+          arms[arm].add(run_arm(task, profile, vns, devices, seed, warmup, steps,
+                                KernelMode::kReference, /*reuse=*/false));
+          break;
+        case kBlk:
+          arms[arm].add(run_arm(task, profile, vns, devices, seed, warmup, steps,
+                                KernelMode::kBlocked, /*reuse=*/true));
+          break;
+        case kSimdArm:
+          arms[arm].add(run_arm(task, profile, vns, devices, seed, warmup, steps,
+                                KernelMode::kSimd, /*reuse=*/true));
+          break;
+        default: {
+          obs::TraceRecorder trace;
+          obs::MetricsRegistry metrics;
+          arms[arm].add(run_arm(task, profile, vns, devices, seed, warmup, steps,
+                                KernelMode::kBlocked, /*reuse=*/true, {&trace, &metrics}));
+          obs_events = trace.size();
+        }
+      }
+    }
+  }
   TensorConfig::set_kernel_mode(saved_mode);
   TensorConfig::set_workspace_reuse(saved_reuse);
+  const ArmRuns& ref = arms[kRef];
+  const ArmRuns& blk = arms[kBlk];
+  const ArmRuns& simd = arms[kSimdArm];
+  const ArmRuns& obs_on = arms[kObs];
 
-  const double speedup = blk.step_s > 0.0 ? ref.step_s / blk.step_s : 0.0;
-  const double simd_e2e = simd.step_s > 0.0 ? ref.step_s / simd.step_s : 0.0;
-  Table e2e({"arm", "step (ms)", "speedup", "tensor allocs/step", "ws allocs"});
-  e2e.row()
-      .cell(std::string("reference + alloc-per-use"))
-      .cell(ref.step_s * 1e3, 3)
-      .cell(1.0, 2)
-      .cell(static_cast<double>(ref.tensor_allocs) / static_cast<double>(steps), 1)
-      .cell(ref.ws_allocs);
-  e2e.row()
-      .cell(std::string("blocked + workspace reuse"))
-      .cell(blk.step_s * 1e3, 3)
-      .cell(speedup, 2)
-      .cell(static_cast<double>(blk.tensor_allocs) / static_cast<double>(steps), 1)
-      .cell(blk.ws_allocs);
-  e2e.row()
-      .cell(std::string("simd + workspace reuse"))
-      .cell(simd.step_s * 1e3, 3)
-      .cell(simd_e2e, 2)
-      .cell(static_cast<double>(simd.tensor_allocs) / static_cast<double>(steps), 1)
-      .cell(simd.ws_allocs);
-  e2e.print(std::cout);
-
-  const auto arm_identical = [&ref](const ArmResult& other) {
-    bool same =
-        ref.params.equals(other.params) && ref.losses.size() == other.losses.size();
-    if (same) {
-      for (std::size_t i = 0; i < ref.losses.size(); ++i)
-        same &= ref.losses[i] == other.losses[i];
-    }
-    return same;
+  const double speedup = ref.median() / blk.median();
+  const double simd_e2e = ref.median() / simd.median();
+  Table e2e({"arm", "median step (ms)", "min (ms)", "spread", "speedup",
+             "tensor allocs/step", "ws allocs"});
+  const auto arm_row = [&](const char* name, const ArmRuns& a, double x) {
+    e2e.row()
+        .cell(std::string(name))
+        .cell(a.median() * 1e3, 3)
+        .cell(a.min() * 1e3, 3)
+        .cell(a.spread(), 3)
+        .cell(x, 2)
+        .cell(static_cast<double>(a.max_tensor_allocs) / static_cast<double>(steps), 1)
+        .cell(a.max_ws_allocs);
   };
-  const bool identical = arm_identical(blk) && arm_identical(simd);
+  arm_row("reference + alloc-per-use", ref, 1.0);
+  arm_row("blocked + workspace reuse", blk, speedup);
+  arm_row("simd + workspace reuse", simd, simd_e2e);
+  arm_row("blocked + recording on", obs_on, ref.median() / obs_on.median());
+  e2e.print(std::cout);
+  std::printf("  (spread = (max - min) / median over the %d runs; speedups are "
+              "median over median)\n",
+              kRepeats);
+
+  const auto same_trajectory = [](const ArmRuns& a, const ArmRuns& b) {
+    return a.first.params.equals(b.first.params) && a.first.losses == b.first.losses;
+  };
+  bool repeatable = true;
+  for (const ArmRuns& a : arms) repeatable &= a.repeatable;
+  const bool identical =
+      repeatable && same_trajectory(ref, blk) && same_trajectory(ref, simd);
 
   const char* miss = custom ? "no (informational: custom workload)" : "NO — BUG";
 
-  const bool zero_alloc = blk.tensor_allocs == 0 && blk.ws_allocs == 0 &&
-                          simd.tensor_allocs == 0 && simd.ws_allocs == 0;
+  const bool zero_alloc = blk.max_tensor_allocs == 0 && blk.max_ws_allocs == 0 &&
+                          simd.max_tensor_allocs == 0 && simd.max_ws_allocs == 0;
   const bool fast_enough = speedup >= min_speedup;
 
   // Observability gates: pure observer (bit-identical trajectory), zero
@@ -331,28 +391,24 @@ int main(int argc, char** argv) {
   // recorder's cost is a POD vector push per device per step (measured
   // ~0.8x-1.0x), so the headroom is all for wall noise on smoke-sized
   // steps under loaded CI hosts.
-  bool obs_identical =
-      blk.params.equals(obs_on.params) && blk.losses.size() == obs_on.losses.size();
-  if (obs_identical) {
-    for (std::size_t i = 0; i < blk.losses.size(); ++i)
-      obs_identical &= blk.losses[i] == obs_on.losses[i];
-  }
-  const bool obs_zero_alloc = obs_on.tensor_allocs == 0 && obs_on.ws_allocs == 0;
-  const double obs_ratio = blk.step_s > 0.0 ? obs_on.step_s / blk.step_s : 0.0;
+  const bool obs_identical = same_trajectory(blk, obs_on);
+  const bool obs_zero_alloc = obs_on.max_tensor_allocs == 0 && obs_on.max_ws_allocs == 0;
+  const double obs_ratio = obs_on.median() / blk.median();
   const bool obs_cheap = obs_ratio <= 1.5;
 
-  std::printf("\n  trajectories bit-identical across all three kernel modes: %s\n",
+  std::printf("\n  trajectories bit-identical across all three kernel modes and all "
+              "runs: %s\n",
               identical ? "yes" : "NO — BUG");
   std::printf("  optimized arms steady-state tensor heap allocations: %lld + %lld "
               "(want 0)\n",
-              static_cast<long long>(blk.tensor_allocs),
-              static_cast<long long>(simd.tensor_allocs));
-  std::printf("  end-to-end speedup %.2fx blocked / %.2fx simd (gate on blocked: "
-              ">= %.2fx): %s\n",
+              static_cast<long long>(blk.max_tensor_allocs),
+              static_cast<long long>(simd.max_tensor_allocs));
+  std::printf("  end-to-end median speedup %.2fx blocked / %.2fx simd (gate on "
+              "blocked: >= %.2fx): %s\n",
               speedup, simd_e2e, min_speedup, fast_enough ? "yes" : miss);
-  std::printf("  recording on: %zu trace events, step %.3f ms vs %.3f ms off "
+  std::printf("  recording on: %zu trace events, median step %.3f ms vs %.3f ms off "
               "(%.2fx, budget 1.5x): %s\n",
-              obs_trace.size(), obs_on.step_s * 1e3, blk.step_s * 1e3, obs_ratio,
+              obs_events, obs_on.median() * 1e3, blk.median() * 1e3, obs_ratio,
               obs_cheap ? "yes" : miss);
   std::printf("  recording does not perturb the trajectory, zero tensor allocs: %s\n",
               (obs_identical && obs_zero_alloc) ? "yes" : "NO — BUG");
@@ -360,18 +416,22 @@ int main(int argc, char** argv) {
   if (!obs_identical || !obs_zero_alloc) ok = false;
   if (!custom && (!fast_enough || !obs_cheap)) ok = false;
 
-  report.add("e2e.reference.step_ms", ref.step_s * 1e3, "ms");
-  report.add("e2e.blocked.step_ms", blk.step_s * 1e3, "ms");
-  report.add("e2e.simd.step_ms", simd.step_s * 1e3, "ms");
+  report.add("e2e.repeats", kRepeats, "runs");
+  for (const auto& [name, a] : {std::pair<const char*, const ArmRuns*>{"reference", &ref},
+                                {"blocked", &blk},
+                                {"simd", &simd},
+                                {"obs_on", &obs_on}}) {
+    report.add(std::string("e2e.") + name + ".step_ms", a->median() * 1e3, "ms");
+    report.add(std::string("e2e.") + name + ".step_ms_min", a->min() * 1e3, "ms");
+    report.add(std::string("e2e.") + name + ".step_spread", a->spread(), "fraction");
+  }
   report.add("e2e.speedup", speedup, "x");
   report.add("e2e.simd_speedup", simd_e2e, "x");
   report.add("e2e.blocked.tensor_allocs_per_step",
-             static_cast<double>(blk.tensor_allocs) / static_cast<double>(steps),
+             static_cast<double>(blk.max_tensor_allocs) / static_cast<double>(steps),
              "allocs");
-  report.add("e2e.obs_on.step_ms", obs_on.step_s * 1e3, "ms");
   report.add("e2e.obs_on.overhead_x", obs_ratio, "x");
-  report.add("e2e.obs_on.trace_events", static_cast<double>(obs_trace.size()),
-             "events");
+  report.add("e2e.obs_on.trace_events", static_cast<double>(obs_events), "events");
   const std::string json = flags.json_path();
   if (!json.empty() && !report.save(json)) ok = false;
 

@@ -73,15 +73,6 @@ std::int64_t VirtualFlowEngine::workspace_allocs() const {
   return total;
 }
 
-void VirtualFlowEngine::for_each_device(const std::function<void(std::int64_t)>& fn) {
-  const std::int64_t n = mapping_.num_devices();
-  if (pool_) {
-    pool_->parallel_for(n, fn);
-  } else {
-    for (std::int64_t d = 0; d < n; ++d) fn(d);
-  }
-}
-
 void VirtualFlowEngine::build_replicas(const Sequential& proto,
                                        const Optimizer& opt_proto) {
   replicas_.clear();
@@ -136,7 +127,7 @@ StepStats VirtualFlowEngine::train_step() {
   const std::int64_t bpe = batcher_.batches_per_epoch();
   const std::int64_t epoch = step_ / bpe;
   const std::int64_t bie = step_ % bpe;
-  const auto slices = mapping_.slices();
+  const auto& slices = mapping_.slices();
 
   // --- Fig 5 steps 1-3: per-device sequential VN execution, with devices
   // running concurrently on the host pool when configured (matching a real

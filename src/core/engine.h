@@ -277,8 +277,17 @@ class VirtualFlowEngine {
                          const std::vector<double>& vn_loss_sums, double* out_loss);
   /// Runs fn(d) for every device, on the pool when configured, serially
   /// otherwise. fn must only write state owned by device d (its replica,
-  /// its VNs' slots).
-  void for_each_device(const std::function<void(std::int64_t)>& fn);
+  /// its VNs' slots). A template so the serial path calls fn directly
+  /// instead of through a heap-allocated std::function.
+  template <class Fn>
+  void for_each_device(Fn&& fn) {
+    const std::int64_t n = mapping_.num_devices();
+    if (pool_) {
+      pool_->parallel_for(n, fn);
+    } else {
+      for (std::int64_t d = 0; d < n; ++d) fn(d);
+    }
+  }
   /// Shared harness for evaluate/evaluate_loss: forwards the first `n`
   /// examples of `eval` in fixed kEvalChunk-sized chunks, chunk c on
   /// replica (c mod D) with a private copy of the averaged eval state,

@@ -28,7 +28,7 @@ VnMapping VnMapping::even(std::int64_t total_vns, std::int64_t num_devices,
     for (std::int64_t k = 0; k < count; ++k)
       m.device_vns_[static_cast<std::size_t>(d)].push_back(next++);
   }
-  m.validate();
+  m.finish();
   return m;
 }
 
@@ -49,7 +49,7 @@ VnMapping VnMapping::uneven(const std::vector<std::vector<std::int64_t>>& per_de
     }
   }
   check(next > 0, "mapping needs at least one virtual node");
-  m.validate();
+  m.finish();
   return m;
 }
 
@@ -70,11 +70,11 @@ VnMapping VnMapping::redistributed(std::int64_t new_num_devices) const {
     for (std::int64_t k = 0; k < count; ++k)
       m.device_vns_[static_cast<std::size_t>(d)].push_back(next++);
   }
-  m.validate();
+  m.finish();
   return m;
 }
 
-void VnMapping::validate() const {
+void VnMapping::finish() {
   const std::int64_t v = total_vns();
   std::vector<bool> seen(static_cast<std::size_t>(v), false);
   for (const auto& vns : device_vns_) {
@@ -88,6 +88,10 @@ void VnMapping::validate() const {
   for (std::int64_t i = 0; i < v; ++i)
     check(seen[static_cast<std::size_t>(i)],
           "virtual node " + std::to_string(i) + " not assigned to any device");
+  device_batches_.assign(device_vns_.size(), {});
+  for (std::size_t d = 0; d < device_vns_.size(); ++d)
+    for (const std::int32_t vn : device_vns_[d]) device_batches_[d].push_back(vn_batch(vn));
+  slices_ = split_batch(global_batch(), vn_batches_);
 }
 
 std::int64_t VnMapping::global_batch() const {
@@ -104,20 +108,15 @@ std::int64_t VnMapping::vn_batch(std::int32_t vn) const {
   return vn_batches_[static_cast<std::size_t>(vn)];
 }
 
-std::vector<std::int64_t> VnMapping::device_batches(std::int64_t d) const {
-  std::vector<std::int64_t> out;
-  for (const std::int32_t vn : device_vns(d)) out.push_back(vn_batch(vn));
-  return out;
+const std::vector<std::int64_t>& VnMapping::device_batches(std::int64_t d) const {
+  check_index(d, num_devices(), "device");
+  return device_batches_[static_cast<std::size_t>(d)];
 }
 
 std::int64_t VnMapping::device_batch_total(std::int64_t d) const {
   std::int64_t total = 0;
   for (const std::int32_t vn : device_vns(d)) total += vn_batch(vn);
   return total;
-}
-
-std::vector<BatchSlice> VnMapping::slices() const {
-  return split_batch(global_batch(), vn_batches_);
 }
 
 std::int64_t VnMapping::device_of(std::int32_t vn) const {

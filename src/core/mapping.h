@@ -57,7 +57,7 @@ class VnMapping {
   std::int64_t vn_batch(std::int32_t vn) const;
 
   /// Micro-batch sizes of the VNs on device d, in execution order.
-  std::vector<std::int64_t> device_batches(std::int64_t d) const;
+  const std::vector<std::int64_t>& device_batches(std::int64_t d) const;
 
   /// Total examples processed by device d per step (its local batch).
   std::int64_t device_batch_total(std::int64_t d) const;
@@ -67,7 +67,7 @@ class VnMapping {
   std::vector<std::int64_t> shares() const { return vn_batches_; }
 
   /// Batch slices per VN in ascending VN-id order.
-  std::vector<BatchSlice> slices() const;
+  const std::vector<BatchSlice>& slices() const { return slices_; }
 
   /// Device index hosting VN `vn`.
   std::int64_t device_of(std::int32_t vn) const;
@@ -77,10 +77,15 @@ class VnMapping {
 
  private:
   VnMapping() = default;
-  void validate() const;
+  /// Checks the invariants, then derives the per-device batches and the
+  /// slices (a mapping never changes once built, and the engine reads
+  /// both on every step).
+  void finish();
 
   std::vector<std::vector<std::int32_t>> device_vns_;  // device -> VN ids
   std::vector<std::int64_t> vn_batches_;               // VN id -> batch size
+  std::vector<std::vector<std::int64_t>> device_batches_;
+  std::vector<BatchSlice> slices_;
 };
 
 }  // namespace vf

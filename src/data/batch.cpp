@@ -13,7 +13,7 @@ EpochBatcher::EpochBatcher(const Dataset& dataset, std::uint64_t seed,
 
 void EpochBatcher::ensure_epoch(std::int64_t epoch) {
   if (epoch == cached_epoch_) return;
-  perm_ = epoch_permutation(dataset_.size(), seed_, epoch);
+  epoch_permutation_into(dataset_.size(), seed_, epoch, perm_);
   cached_epoch_ = epoch;
 }
 

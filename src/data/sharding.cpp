@@ -9,10 +9,17 @@ namespace vf {
 
 std::vector<std::int64_t> epoch_permutation(std::int64_t dataset_size,
                                             std::uint64_t seed, std::int64_t epoch) {
+  std::vector<std::int64_t> out;
+  epoch_permutation_into(dataset_size, seed, epoch, out);
+  return out;
+}
+
+void epoch_permutation_into(std::int64_t dataset_size, std::uint64_t seed,
+                            std::int64_t epoch, std::vector<std::int64_t>& out) {
   check(dataset_size > 0, "dataset must be non-empty");
   check(epoch >= 0, "epoch must be non-negative");
   CounterRng rng(seed, 0x5C0FFEULL + static_cast<std::uint64_t>(epoch));
-  return rng.permutation(dataset_size);
+  rng.permutation_into(dataset_size, out);
 }
 
 std::vector<BatchSlice> split_batch(std::int64_t global_batch,
@@ -24,9 +31,10 @@ std::vector<BatchSlice> split_batch(std::int64_t global_batch,
     check(s > 0, "every virtual node must process at least one example");
     total += s;
   }
-  check(total == global_batch,
-        "virtual-node shares (" + std::to_string(total) + ") must sum to the global batch (" +
-            std::to_string(global_batch) + ")");
+  check(total == global_batch, [&] {
+    return "virtual-node shares (" + std::to_string(total) +
+           ") must sum to the global batch (" + std::to_string(global_batch) + ")";
+  });
 
   std::vector<BatchSlice> out;
   out.reserve(shares.size());
@@ -40,9 +48,10 @@ std::vector<BatchSlice> split_batch(std::int64_t global_batch,
 
 std::int64_t batches_per_epoch(std::int64_t dataset_size, std::int64_t global_batch) {
   check(global_batch > 0, "global batch must be positive");
-  check(dataset_size >= global_batch,
-        "dataset smaller than one global batch (size " + std::to_string(dataset_size) +
-            " < batch " + std::to_string(global_batch) + ")");
+  check(dataset_size >= global_batch, [&] {
+    return "dataset smaller than one global batch (size " + std::to_string(dataset_size) +
+           " < batch " + std::to_string(global_batch) + ")";
+  });
   return dataset_size / global_batch;
 }
 

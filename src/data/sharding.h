@@ -19,6 +19,9 @@ namespace vf {
 /// function of (seed, epoch) — independent of devices and mappings.
 std::vector<std::int64_t> epoch_permutation(std::int64_t dataset_size,
                                             std::uint64_t seed, std::int64_t epoch);
+/// The same permutation written into `out`, reusing its buffer.
+void epoch_permutation_into(std::int64_t dataset_size, std::uint64_t seed,
+                            std::int64_t epoch, std::vector<std::int64_t>& out);
 
 /// Per-VN slice of one global batch: contiguous range in the permuted
 /// epoch order.

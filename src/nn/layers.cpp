@@ -6,6 +6,85 @@
 
 namespace vf {
 
+namespace {
+
+// Row loops of the elementwise layers. Every pointer argument is
+// __restrict: callers pass distinct tensors (layers never alias input and
+// output, and statistics and parameters live in their own buffers), so
+// the vectorizer needs no runtime alias checks — with more than a few
+// pointers it gives up on the checks and leaves the loop scalar. Each
+// element keeps the operations and the order of the scalar loop, so
+// results are bit-identical at any vector width.
+
+void add_bias_rows(float* __restrict y, const float* __restrict b, std::int64_t n,
+                   std::int64_t d) {
+  for (std::int64_t i = 0; i < n; ++i, y += d)
+    for (std::int64_t j = 0; j < d; ++j) y[j] += b[j];
+}
+
+/// y = gamma * xhat + beta with xhat = (x - mean) * inv_std per column;
+/// xhat is also stored when `xhat_out` is non-null (training).
+void normalize_rows(const float* __restrict x, const float* __restrict mean,
+                    const float* __restrict inv_std, const float* __restrict gamma,
+                    const float* __restrict beta, float* __restrict xhat_out,
+                    float* __restrict y, std::int64_t n, std::int64_t d) {
+  for (std::int64_t i = 0; i < n; ++i, x += d, y += d) {
+    if (xhat_out != nullptr) {
+      for (std::int64_t j = 0; j < d; ++j) {
+        const float xhat = (x[j] - mean[j]) * inv_std[j];
+        xhat_out[j] = xhat;
+        y[j] = gamma[j] * xhat + beta[j];
+      }
+      xhat_out += d;
+    } else {
+      for (std::int64_t j = 0; j < d; ++j) {
+        const float xhat = (x[j] - mean[j]) * inv_std[j];
+        y[j] = gamma[j] * xhat + beta[j];
+      }
+    }
+  }
+}
+
+/// Per-column sums of g and g * xhat, ascending row order per column.
+void column_grad_sums(const float* __restrict g, const float* __restrict xhat,
+                      float* __restrict sum_g, float* __restrict sum_gx, std::int64_t n,
+                      std::int64_t d) {
+  for (std::int64_t i = 0; i < n; ++i, g += d, xhat += d) {
+    for (std::int64_t j = 0; j < d; ++j) {
+      sum_g[j] += g[j];
+      sum_gx[j] += g[j] * xhat[j];
+    }
+  }
+}
+
+void batchnorm_grad_rows(const float* __restrict g, const float* __restrict xhat,
+                         const float* __restrict gamma, const float* __restrict inv_std,
+                         const float* __restrict sum_g, const float* __restrict sum_gx,
+                         float inv_n, float* __restrict gx, std::int64_t n, std::int64_t d) {
+  for (std::int64_t i = 0; i < n; ++i, g += d, xhat += d, gx += d) {
+    for (std::int64_t j = 0; j < d; ++j) {
+      gx[j] = gamma[j] * inv_std[j] *
+              (g[j] - inv_n * sum_g[j] - xhat[j] * inv_n * sum_gx[j]);
+    }
+  }
+}
+
+/// One row of LayerNorm backward: the input gradient, plus the gamma and
+/// beta gradients accumulated in place.
+void layernorm_grad_row(const float* __restrict g, const float* __restrict xhat,
+                        const float* __restrict gamma, float inv_std, float inv_d,
+                        float sum_g, float sum_gx, float* __restrict gx,
+                        float* __restrict dgamma, float* __restrict dbeta, std::int64_t d) {
+  for (std::int64_t j = 0; j < d; ++j) {
+    const float gy = g[j] * gamma[j];
+    gx[j] = inv_std * (gy - inv_d * sum_g - xhat[j] * inv_d * sum_gx);
+    dgamma[j] += g[j] * xhat[j];
+    dbeta[j] += g[j];
+  }
+}
+
+}  // namespace
+
 Tensor Layer::forward(const Tensor& x, const ExecContext& ctx) {
   Tensor y;
   forward_into(x, y, ctx);
@@ -51,11 +130,7 @@ void Dense::forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) {
     bw_vn_ = ctx.vn_id;
   }
   x.matmul_into(w_, y);
-  const std::int64_t n = y.rows(), d = y.cols();
-  const float* b = b_.data().data();
-  float* yp = y.data().data();
-  for (std::int64_t i = 0; i < n; ++i, yp += d)
-    for (std::int64_t j = 0; j < d; ++j) yp[j] += b[j];
+  add_bias_rows(y.data().data(), b_.data().data(), y.rows(), y.cols());
 }
 
 void Dense::backward_into(const Tensor& grad_out, Tensor& grad_in) {
@@ -93,7 +168,12 @@ void Relu::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   const float* g = grad_out.data().data();
   float* gx = grad_in.data().data();
   const std::size_t n = grad_out.data().size();
-  for (std::size_t i = 0; i < n; ++i) gx[i] = in[i] <= 0.0F ? 0.0F : g[i];
+  // g[i] is loaded on both arms, so the select has no branch to keep and
+  // the loop vectorizes. A NaN input compares false and passes g through.
+  for (std::size_t i = 0; i < n; ++i) {
+    const float gi = g[i];
+    gx[i] = in[i] <= 0.0F ? 0.0F : gi;
+  }
 }
 
 // ----------------------------------------------------------------- Tanh
@@ -139,10 +219,11 @@ void Dropout::forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) {
   CounterRng rng(ctx.seed, stream);
   cached_mask_.ensure_shape(x.shape());
   const float keep = 1.0F - rate_;
+  const float scale = 1.0F / keep;
   float* m = cached_mask_.data().data();
   const std::size_t n = cached_mask_.data().size();
-  for (std::size_t i = 0; i < n; ++i)
-    m[i] = rng.next_double() < keep ? 1.0F / keep : 0.0F;
+  // Stays scalar: each draw advances one 64-bit counter stream.
+  for (std::size_t i = 0; i < n; ++i) m[i] = rng.next_double() < keep ? scale : 0.0F;
   x.mul_into(cached_mask_, y);
 }
 
@@ -244,20 +325,10 @@ void BatchNorm1d::forward_into(const Tensor& x, Tensor& y, const ExecContext& ct
   cached_inv_std_.assign(static_cast<std::size_t>(d), 0.0F);
   for (std::int64_t j = 0; j < d; ++j)
     cached_inv_std_[static_cast<std::size_t>(j)] = 1.0F / std::sqrt(var[j] + eps_);
-  const float* inv_std = cached_inv_std_.data();
   if (ctx.training) cached_xhat_.ensure_shape({n, d});
-  const float* gp = gamma_.data().data();
-  const float* bp = beta_.data().data();
-  float* yp = y.data().data();
-  float* xh = ctx.training ? cached_xhat_.data().data() : nullptr;
-  const float* p = xp;
-  for (std::int64_t i = 0; i < n; ++i, p += d, yp += d) {
-    for (std::int64_t j = 0; j < d; ++j) {
-      const float xhat = (p[j] - mean[j]) * inv_std[j];
-      if (xh != nullptr) xh[i * d + j] = xhat;
-      yp[j] = gp[j] * xhat + bp[j];
-    }
-  }
+  normalize_rows(xp, mean, cached_inv_std_.data(), gamma_.data().data(),
+                 beta_.data().data(), ctx.training ? cached_xhat_.data().data() : nullptr,
+                 y.data().data(), n, d);
 }
 
 void BatchNorm1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
@@ -276,34 +347,15 @@ void BatchNorm1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   float* sum_gx = var_scratch_.data();
   const float* g = grad_out.data().data();
   const float* xh = cached_xhat_.data().data();
-  {
-    const float* gr = g;
-    const float* xr = xh;
-    for (std::int64_t i = 0; i < n; ++i, gr += d, xr += d) {
-      for (std::int64_t j = 0; j < d; ++j) {
-        sum_g[j] += gr[j];
-        sum_gx[j] += gr[j] * xr[j];
-      }
-    }
-  }
+  column_grad_sums(g, xh, sum_g, sum_gx, n, d);
   float* dbp = dbeta_.data().data();
   float* dgp = dgamma_.data().data();
   for (std::int64_t j = 0; j < d; ++j) {
     dbp[j] += sum_g[j];
     dgp[j] += sum_gx[j];
   }
-  const float* inv_std = cached_inv_std_.data();
-  const float* gp = gamma_.data().data();
-  const float inv_n = 1.0F / static_cast<float>(n);
-  float* gx = grad_in.data().data();
-  const float* gr = g;
-  const float* xr = xh;
-  for (std::int64_t i = 0; i < n; ++i, gr += d, xr += d, gx += d) {
-    for (std::int64_t j = 0; j < d; ++j) {
-      gx[j] = gp[j] * inv_std[j] *
-              (gr[j] - inv_n * sum_g[j] - xr[j] * inv_n * sum_gx[j]);
-    }
-  }
+  batchnorm_grad_rows(g, xh, gamma_.data().data(), cached_inv_std_.data(), sum_g, sum_gx,
+                      1.0F / static_cast<float>(n), grad_in.data().data(), n, d);
 }
 
 // ------------------------------------------------------------ LayerNorm
@@ -373,13 +425,8 @@ void LayerNorm::backward_into(const Tensor& grad_out, Tensor& grad_in) {
       sum_g += gy;
       sum_gx += gy * xr[j];
     }
-    const float inv_std = cached_inv_std_[static_cast<std::size_t>(i)];
-    for (std::int64_t j = 0; j < d; ++j) {
-      const float gy = gr[j] * gp[j];
-      gx[j] = inv_std * (gy - inv_d * sum_g - xr[j] * inv_d * sum_gx);
-      dgp[j] += gr[j] * xr[j];
-      dbp[j] += gr[j];
-    }
+    layernorm_grad_row(gr, xr, gp, cached_inv_std_[static_cast<std::size_t>(i)], inv_d,
+                       sum_g, sum_gx, gx, dgp, dbp, d);
   }
 }
 

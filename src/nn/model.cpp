@@ -15,6 +15,7 @@ Sequential& Sequential::operator=(const Sequential& other) {
   for (const auto& l : other.layers_) layers_.push_back(l->clone());
   next_index_ = other.next_index_;
   layer_index_ = other.layer_index_;
+  index_tensors();
   return *this;
 }
 
@@ -22,7 +23,21 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   check(layer != nullptr, "cannot add null layer");
   layers_.push_back(std::move(layer));
   set_layer_index(layer_index_);  // re-key all children deterministically
+  index_tensors();
   return *this;
+}
+
+void Sequential::index_tensors() {
+  param_ptrs_.clear();
+  grad_ptrs_.clear();
+  for (auto& l : layers_) {
+    for (Tensor* p : l->params()) param_ptrs_.push_back(p);
+    for (Tensor* g : l->grads()) grad_ptrs_.push_back(g);
+  }
+}
+
+void Sequential::zero_grad() {
+  for (Tensor* g : grad_ptrs_) g->fill(0.0F);
 }
 
 void Sequential::set_layer_index(std::int32_t idx) {
@@ -86,25 +101,8 @@ void Sequential::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   }
 }
 
-std::vector<Tensor*> Sequential::params() {
-  std::vector<Tensor*> out;
-  for (auto& l : layers_)
-    for (Tensor* p : l->params()) out.push_back(p);
-  return out;
-}
-
 std::vector<const Tensor*> Sequential::params() const {
-  std::vector<const Tensor*> out;
-  for (const auto& l : layers_)
-    for (const Tensor* p : l->params()) out.push_back(p);
-  return out;
-}
-
-std::vector<Tensor*> Sequential::grads() {
-  std::vector<Tensor*> out;
-  for (auto& l : layers_)
-    for (Tensor* g : l->grads()) out.push_back(g);
-  return out;
+  return {param_ptrs_.begin(), param_ptrs_.end()};
 }
 
 std::unique_ptr<Layer> Sequential::clone() const {
@@ -118,10 +116,10 @@ Layer& Sequential::layer(std::size_t i) {
 
 Tensor Sequential::flatten_params() const {
   std::int64_t total = 0;
-  for (const Tensor* p : params()) total += p->size();
+  for (const Tensor* p : param_ptrs_) total += p->size();
   Tensor flat({total});
   std::int64_t off = 0;
-  for (const Tensor* p : params()) {
+  for (const Tensor* p : param_ptrs_) {
     std::copy(p->data().begin(), p->data().end(), flat.data().begin() + off);
     off += p->size();
   }
@@ -130,7 +128,7 @@ Tensor Sequential::flatten_params() const {
 
 void Sequential::unflatten_params(const Tensor& flat) {
   std::int64_t off = 0;
-  for (Tensor* p : params()) {
+  for (Tensor* p : param_ptrs_) {
     check(off + p->size() <= flat.size(), "unflatten_params: flat tensor too small");
     std::copy_n(flat.data().begin() + off, p->size(), p->data().begin());
     off += p->size();
@@ -145,13 +143,11 @@ Tensor Sequential::flatten_grads() const {
 }
 
 void Sequential::flatten_grads_into(Tensor& flat) const {
-  auto* self = const_cast<Sequential*>(this);
-  const auto grads = self->grads();
   std::int64_t total = 0;
-  for (Tensor* g : grads) total += g->size();
+  for (const Tensor* g : grad_ptrs_) total += g->size();
   flat.ensure_shape({total});
   std::int64_t off = 0;
-  for (Tensor* g : grads) {
+  for (const Tensor* g : grad_ptrs_) {
     std::copy(g->data().begin(), g->data().end(), flat.data().begin() + off);
     off += g->size();
   }
@@ -159,7 +155,7 @@ void Sequential::flatten_grads_into(Tensor& flat) const {
 
 void Sequential::load_grads(const Tensor& flat) {
   std::int64_t off = 0;
-  for (Tensor* g : grads()) {
+  for (Tensor* g : grad_ptrs_) {
     check(off + g->size() <= flat.size(), "load_grads: flat tensor too small");
     std::copy_n(flat.data().begin() + off, g->size(), g->data().begin());
     off += g->size();

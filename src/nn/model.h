@@ -31,9 +31,16 @@ class Sequential : public Layer {
   /// final layer writes `y`. Zero tensor allocations once warm.
   void forward_into(const Tensor& x, Tensor& y, const ExecContext& ctx) override;
   void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
-  std::vector<Tensor*> params() override;
+  std::vector<Tensor*> params() override { return param_ptrs_; }
   std::vector<const Tensor*> params() const override;
-  std::vector<Tensor*> grads() override;
+  std::vector<Tensor*> grads() override { return grad_ptrs_; }
+  /// params() and grads() without the copy: the flattened lists are built
+  /// when layers are added or copied, so hot-path callers (the optimizers,
+  /// zero_grad, the gradient flatten) never allocate for them.
+  const std::vector<Tensor*>& param_tensors() { return param_ptrs_; }
+  const std::vector<Tensor*>& grad_tensors() { return grad_ptrs_; }
+  /// Layer::zero_grad over the cached gradient list.
+  void zero_grad();
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "sequential"; }
 
@@ -64,7 +71,12 @@ class Sequential : public Layer {
   /// member fallback.
   Tensor& pass_buf(Workspace* ws, std::int32_t vn, std::int32_t which);
 
+  /// Rebuilds param_ptrs_/grad_ptrs_. The tensors live in heap-held
+  /// children, so the lists stay valid across moves of this object.
+  void index_tensors();
+
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<Tensor*> param_ptrs_, grad_ptrs_;
   std::int32_t next_index_ = 0;
   // Workspace stash from the last forward (backward_into has no ctx).
   Workspace* bw_ws_ = nullptr;

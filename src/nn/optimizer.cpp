@@ -13,7 +13,7 @@ std::int64_t Optimizer::slot_bytes() const {
 }
 
 void Optimizer::ensure_slots(Sequential& model, std::size_t per_param) {
-  const auto params = model.params();
+  const auto& params = model.param_tensors();
   const std::size_t want = params.size() * per_param;
   if (slots_.size() == want) return;
   check(slots_.empty(), "optimizer slot layout changed mid-training");
@@ -32,8 +32,8 @@ Sgd::Sgd(float momentum, float weight_decay)
 }
 
 void Sgd::apply(Sequential& model, float lr) {
-  const auto params = model.params();
-  const auto grads = model.grads();
+  const auto& params = model.param_tensors();
+  const auto& grads = model.grad_tensors();
   check(params.size() == grads.size(), "params/grads mismatch");
 
   if (momentum_ == 0.0F) {
@@ -73,8 +73,8 @@ Lamb::Lamb(float beta1, float beta2, float eps, float weight_decay)
 }
 
 void Lamb::apply(Sequential& model, float lr) {
-  const auto params = model.params();
-  const auto grads = model.grads();
+  const auto& params = model.param_tensors();
+  const auto& grads = model.grad_tensors();
   check(params.size() == grads.size(), "params/grads mismatch");
 
   ensure_slots(model, 2);  // first half: m, second half: v
@@ -123,8 +123,8 @@ Adam::Adam(float beta1, float beta2, float eps, float weight_decay)
 }
 
 void Adam::apply(Sequential& model, float lr) {
-  const auto params = model.params();
-  const auto grads = model.grads();
+  const auto& params = model.param_tensors();
+  const auto& grads = model.grad_tensors();
   check(params.size() == grads.size(), "params/grads mismatch");
 
   ensure_slots(model, 2);  // first half: m, second half: v

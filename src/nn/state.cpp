@@ -1,22 +1,25 @@
 #include "nn/state.h"
 
+#include <algorithm>
+
 #include "util/common.h"
 
 namespace vf {
 
-Tensor& VnState::slot(const std::string& key, const std::vector<std::int64_t>& shape) {
+Tensor& VnState::slot(const std::string& key, std::initializer_list<std::int64_t> shape) {
   auto it = slots_.find(key);
   if (it == slots_.end()) {
-    it = slots_.emplace(key, Tensor(shape)).first;
+    it = slots_.emplace(key, Tensor(std::vector<std::int64_t>(shape))).first;
   } else {
-    check(it->second.shape() == shape, "VnState slot '" + key + "' shape mismatch");
+    check(std::ranges::equal(it->second.shape(), shape),
+          [&] { return "VnState slot '" + key + "' shape mismatch"; });
   }
   return it->second;
 }
 
 const Tensor& VnState::get(const std::string& key) const {
   auto it = slots_.find(key);
-  check(it != slots_.end(), "VnState slot '" + key + "' not found");
+  check(it != slots_.end(), [&] { return "VnState slot '" + key + "' not found"; });
   return it->second;
 }
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,7 +28,7 @@ class VnState {
  public:
   /// Returns the slot for `key`, creating it zero-initialized with `shape`
   /// on first use. The shape must match on subsequent calls.
-  Tensor& slot(const std::string& key, const std::vector<std::int64_t>& shape);
+  Tensor& slot(const std::string& key, std::initializer_list<std::int64_t> shape);
 
   /// True if the slot exists already.
   bool has(const std::string& key) const { return slots_.count(key) > 0; }

@@ -222,16 +222,17 @@ void ClusterController::grant(Tenant& t, const Allocation& next, double now) {
   const std::int64_t cur = js.alloc.total();
   const std::int64_t want = next.total();
   if (t.backing == Backing::kServeLease) {
-    check(want >= js.live_min_gpus && want <= js.live_max_gpus,
-          "policy " + policy_.name() + " granted serving job " +
-              std::to_string(js.spec.id) + " " + std::to_string(want) +
-              " devices, outside its live band [" +
-              std::to_string(js.live_min_gpus) + ", " +
-              std::to_string(js.live_max_gpus) + "]");
+    check(want >= js.live_min_gpus && want <= js.live_max_gpus, [&] {
+      return "policy " + policy_.name() + " granted serving job " +
+             std::to_string(js.spec.id) + " " + std::to_string(want) +
+             " devices, outside its live band [" + std::to_string(js.live_min_gpus) +
+             ", " + std::to_string(js.live_max_gpus) + "]";
+    });
   } else {
-    check(next.per_type.size() <= 1,
-          "train lease grants must be homogeneous (job " +
-              std::to_string(js.spec.id) + ")");
+    check(next.per_type.size() <= 1, [&] {
+      return "train lease grants must be homogeneous (job " +
+             std::to_string(js.spec.id) + ")";
+    });
   }
   const double migration_s = t.lease->apply_grant(want);
   if (want == cur) return;

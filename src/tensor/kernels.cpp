@@ -25,11 +25,14 @@ namespace {
 
 KernelMode mode_from_env() {
   const char* env = std::getenv("VF_KERNELS");
-  if (env == nullptr) return KernelMode::kBlocked;
+  // simd is the default: it is bit-identical to blocked, and the backend
+  // factory serves any call the host ISA or the shape cannot carry with
+  // blocked, so hosts without AVX2 run exactly the blocked tier.
+  if (env == nullptr) return KernelMode::kSimd;
   const std::string v(env);
   if (v == "reference") return KernelMode::kReference;
-  if (v == "blocked" || v.empty()) return KernelMode::kBlocked;
-  if (v == "simd") return KernelMode::kSimd;
+  if (v == "blocked") return KernelMode::kBlocked;
+  if (v == "simd" || v.empty()) return KernelMode::kSimd;
   env_usage_error("VF_KERNELS must be 'reference', 'blocked', or 'simd', got: '" +
                   v + "'");
 }

@@ -58,7 +58,7 @@ const char* kernel_mode_name(KernelMode mode);
 /// benches A/B all knobs):
 ///
 ///   VF_KERNELS=reference|blocked|simd  kernel implementation (default
-///                                      blocked; simd falls back to
+///                                      simd, which falls back to
 ///                                      blocked per shape when the CPU or
 ///                                      the shape cannot carry it)
 ///   VF_WORKSPACE_REUSE=0|1             workspace buffer reuse (default 1;

@@ -1,6 +1,7 @@
 // Common error handling and small helpers shared by all VirtualFlow modules.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <source_location>
 #include <stdexcept>
@@ -41,6 +42,16 @@ inline std::string locate(std::string_view msg, const std::source_location& loc)
 inline void check(bool cond, std::string_view msg,
                   const std::source_location loc = std::source_location::current()) {
   if (!cond) throw VfError(detail::locate(msg, loc));
+}
+
+/// Check whose message is formatted only on failure: `make_msg` is called
+/// (returning anything a std::string_view can view) only when `cond` is
+/// false. Use it wherever the message is built from values, so a passing
+/// check on the hot path never touches the heap.
+template <std::invocable MakeMsg>
+inline void check(bool cond, MakeMsg&& make_msg,
+                  const std::source_location loc = std::source_location::current()) {
+  if (!cond) [[unlikely]] throw VfError(detail::locate(make_msg(), loc));
 }
 
 /// Check specialized for index bounds; includes the offending value.

@@ -61,14 +61,19 @@ std::uint64_t CounterRng::next_below(std::uint64_t n) {
 }
 
 std::vector<std::int64_t> CounterRng::permutation(std::int64_t n) {
+  std::vector<std::int64_t> p;
+  permutation_into(n, p);
+  return p;
+}
+
+void CounterRng::permutation_into(std::int64_t n, std::vector<std::int64_t>& p) {
   check(n >= 0, "permutation size must be non-negative");
-  std::vector<std::int64_t> p(static_cast<std::size_t>(n));
+  p.resize(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) p[static_cast<std::size_t>(i)] = i;
   for (std::int64_t i = n - 1; i > 0; --i) {
     const auto j = static_cast<std::int64_t>(next_below(static_cast<std::uint64_t>(i) + 1));
     std::swap(p[static_cast<std::size_t>(i)], p[static_cast<std::size_t>(j)]);
   }
-  return p;
 }
 
 }  // namespace vf

@@ -49,6 +49,8 @@ class CounterRng {
 
   /// Deterministic Fisher-Yates permutation of {0, ..., n-1}.
   std::vector<std::int64_t> permutation(std::int64_t n);
+  /// The same permutation written into `out`, reusing its buffer.
+  void permutation_into(std::int64_t n, std::vector<std::int64_t>& out);
 
   /// Number of draws made so far (useful for tests).
   std::uint64_t counter() const { return counter_; }

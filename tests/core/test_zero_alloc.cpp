@@ -1,16 +1,40 @@
 // The zero-allocation steady-state contract: once warm, a training step
 // performs ZERO tensor heap allocations — every activation, gradient
 // temporary, micro-batch buffer, and reduction scratch lives in a per-VN
-// slot reused across steps. Asserted through both counters: the engine's
-// Workspace audit and the global tensor allocation counter (the stronger
-// claim — nothing anywhere in the step touches the heap).
+// slot reused across steps. Asserted through three counters: the
+// engine's Workspace audit, the global tensor allocation counter, and a
+// replacement of the global operator new below (the strongest claim —
+// nothing anywhere in a serial step touches the heap).
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "core/engine.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
 #include "workloads/profiles.h"
 #include "workloads/tasks.h"
+
+namespace {
+std::atomic<std::int64_t> g_heap_allocs{0};
+
+void* counted(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+// Test-local replacement of the global allocation functions: every heap
+// allocation in this binary goes through here and is counted.
+void* operator new(std::size_t size) { return counted(size); }
+void* operator new[](std::size_t size) { return counted(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vf {
 namespace {
@@ -72,6 +96,24 @@ INSTANTIATE_TEST_SUITE_P(SerialAndPooled, ZeroAllocSteadyState,
                                       ? std::string("serial")
                                       : "pool" + std::to_string(info.param) + "w";
                          });
+
+TEST(ZeroAllocSteadyState, WarmSerialTrainStepMakesNoHeapAllocation) {
+  ConfigGuard guard;
+  TensorConfig::set_workspace_reuse(true);
+  for (const KernelMode mode : {KernelMode::kBlocked, KernelMode::kSimd}) {
+    TensorConfig::set_kernel_mode(mode);
+    ProxyTask task = make_task("qnli-sim", 42);
+    TrainRecipe recipe = make_recipe("qnli-sim");
+    VirtualFlowEngine eng = make_engine(8, 2, 0, task, recipe);
+    for (int i = 0; i < 3; ++i) eng.train_step();
+
+    const std::int64_t heap0 = g_heap_allocs.load();
+    eng.train_step();
+    EXPECT_EQ(g_heap_allocs.load() - heap0, 0)
+        << "a warm serial train step called operator new (" << kernel_mode_name(mode)
+        << " tier)";
+  }
+}
 
 TEST(ZeroAllocSteadyState, ResizeRewarmsThenGoesQuietAgain) {
   ConfigGuard guard;

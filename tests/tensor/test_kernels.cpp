@@ -213,9 +213,15 @@ TEST_F(EnvConfig, AcceptsEveryDocumentedKernelMode) {
   ::setenv("VF_KERNELS", "blocked", 1);
   TensorConfig::reload_from_env();
   EXPECT_EQ(TensorConfig::kernel_mode(), KernelMode::kBlocked);
+  // Unset and empty both select the default tier, simd.
+  ::setenv("VF_KERNELS", "", 1);
+  TensorConfig::reload_from_env();
+  EXPECT_EQ(TensorConfig::kernel_mode(), KernelMode::kSimd);
+  ::setenv("VF_KERNELS", "blocked", 1);
+  TensorConfig::reload_from_env();
   ::unsetenv("VF_KERNELS");
   TensorConfig::reload_from_env();
-  EXPECT_EQ(TensorConfig::kernel_mode(), KernelMode::kBlocked);
+  EXPECT_EQ(TensorConfig::kernel_mode(), KernelMode::kSimd);
 }
 
 TEST_F(EnvConfig, RejectsUnknownKernelModeWithUsageError) {
